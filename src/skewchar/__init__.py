@@ -26,11 +26,8 @@ from .engine import (
     ExpansionTooLarge,
     NotPositiveDefinite,
     OddSubset,
-    SymbolicMatrix,
-    build_symbolic,
     certify_positive,
     covariance_check,
-    det_symbolic,
     eval_skewchar,
     expand_skewchar,
     pfaffian,
@@ -53,7 +50,6 @@ from .matrices import (
 from .polynomials import (
     MissingVariable,
     MultiPoly,
-    NonExactDivision,
     PolyParseError,
     Var,
     lam,
@@ -70,7 +66,6 @@ __all__ = [
     "MatrixParseError",
     "MissingVariable",
     "MultiPoly",
-    "NonExactDivision",
     "NotIndefinite",
     "NotPositiveDefinite",
     "OddSubset",
@@ -79,14 +74,12 @@ __all__ = [
     "ProbeReport",
     "Signature",
     "SkewMatrix",
-    "SymbolicMatrix",
     "SymmetricMatrix",
     "TransitionMatrix",
     "Var",
     "Verdict",
     "Witness",
     "WitnessSearchExhausted",
-    "build_symbolic",
     "certify_positive",
     "classify",
     "congruence_skew",
@@ -94,7 +87,6 @@ __all__ = [
     "covariance_check",
     "crosscheck_classification",
     "det_rational",
-    "det_symbolic",
     "eval_skewchar",
     "expand_skewchar",
     "lagrange_diagonalize",

@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand det(A - L) symbolically")
     p.add_argument("matrix", help="symmetric matrix file")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                   help="dimension cap for symbolic expansion (default 7)")
+                   help="dimension cap for symbolic expansion "
+                        f"(default {DEFAULT_MAX_DIM})")
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("eval", help="evaluate det(A - L) at a concrete skew matrix")
@@ -149,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="sum-of-squares certificate for a positive form")
     p.add_argument("matrix", help="symmetric matrix file")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                   help="dimension cap for certificate construction (default 7)")
+                   help="dimension cap for certificate construction "
+                        f"(default {DEFAULT_MAX_DIM})")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("probe", help="tally exact signs over random skew matrices")

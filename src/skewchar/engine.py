@@ -5,6 +5,12 @@ entries l_ij act as independent variables, det(A - L) is a polynomial of
 degree at most two in each l_ij.  This module expands it exactly, evaluates
 it at concrete skew matrices, computes Pfaffians, and builds weighted
 sum-of-squares certificates for positive definite A.
+
+Expansion and certificates share one algorithm.  Congruence-diagonalize
+S^T A S = D and put M = S^T L S; then det(S)^2 det(A - L) = det(D - M), and
+det(D - M) is the sum over even index subsets U of (prod of d_i outside U)
+times Pf(M[U])^2.  The identity holds for every diagonal D, whatever the
+signs of the d_i.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .matrices import (
@@ -29,9 +36,9 @@ from .polynomials import MultiPoly, Var
 
 DEFAULT_MAX_DIM = 7
 
-# Seed base for the sampled certificate verification at dimensions where the
-# full symbolic replay would be too large.
+# Seed base and point count of the sampled certificate verification.
 _CERT_CHECK_SEED = 90001
+_CERT_CHECK_SAMPLES = 100
 
 
 class ExpansionTooLarge(ValueError):
@@ -44,78 +51,6 @@ class OddSubset(ValueError):
 
 class NotPositiveDefinite(ValueError):
     """Certificates exist only for positive definite forms."""
-
-
-@dataclass(frozen=True)
-class SymbolicMatrix:
-    """The matrix A - L with symbolic strict-triangle entries.
-
-    Above the diagonal entry (i, j) is a_ij - l_ij, below it a_ij + l_ij,
-    and the diagonal carries the plain a_ii.
-    """
-
-    n: int
-    entries: tuple
-
-    def entry(self, i: int, j: int) -> MultiPoly:
-        return self.entries[i][j]
-
-
-def build_symbolic(a: SymmetricMatrix) -> SymbolicMatrix:
-    """Assemble A - L with the upper triangle carrying -l_ij."""
-    n = a.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            base = MultiPoly.constant(a.entry(i, j))
-            if i < j:
-                row.append(base - MultiPoly.variable(Var(i + 1, j + 1)))
-            elif i > j:
-                row.append(base + MultiPoly.variable(Var(j + 1, i + 1)))
-            else:
-                row.append(base)
-        rows.append(tuple(row))
-    return SymbolicMatrix(n, tuple(rows))
-
-
-def det_symbolic(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Fraction-free Bareiss determinant over the polynomial ring.
-
-    Intermediate entries stay genuine minors of the input, so every division
-    by the previous pivot is exact (divexact raises otherwise, which would
-    indicate a bug here rather than bad input).
-    """
-    n = len(rows)
-    m = [list(row) for row in rows]
-    sign = 1
-    prev: MultiPoly | None = None
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            swap = next((r for r in range(k + 1, n) if not m[r][k].is_zero), None)
-            if swap is None:
-                return MultiPoly.zero()
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                num = row_i[j] * pivot - factor * m[k][j]
-                row_i[j] = num if prev is None else num.divexact(prev)
-            row_i[k] = MultiPoly.zero()
-        prev = pivot
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
-def expand_skewchar(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> MultiPoly:
-    """Fully expanded det(A - L) as a canonical polynomial in the l_ij."""
-    if a.n > max_dim:
-        raise ExpansionTooLarge(
-            f"dimension {a.n} exceeds the expansion cap {max_dim}")
-    return det_symbolic(build_symbolic(a).entries)
 
 
 def _difference_rows(a: SymmetricMatrix, l: SkewMatrix):
@@ -201,10 +136,7 @@ class Certificate:
 
     def replay_poly(self) -> MultiPoly:
         """Symbolic replay of the certified polynomial."""
-        total = MultiPoly.zero()
-        for weight, root in self.terms:
-            total = total + root * root * weight
-        return total * self.detS2inv
+        return _sum_of_squares(self.detS2inv, self.terms)
 
     def evaluate(self, l: SkewMatrix) -> Fraction:
         """Exact numeric replay at a concrete skew matrix."""
@@ -243,21 +175,55 @@ def _symbolic_congruence_skew(s: TransitionMatrix):
     return entries
 
 
-def certify_positive(
-    a: SymmetricMatrix,
-    max_dim: int = DEFAULT_MAX_DIM,
-    samples: int = 100,
-) -> Certificate:
+def _pfaffian_terms(s: TransitionMatrix, diag: Sequence[Fraction]) -> list:
+    """The terms (weight, Pf(M[U])) of det(D - M), with M = S^T L S symbolic.
+
+    One term per even index subset U, in order of size and then
+    lexicographically; the weight is the product of the d_i outside U.  A
+    subset whose weight is zero is skipped before its Pfaffian is built.
+    """
+    n = s.n
+    tilde = _symbolic_congruence_skew(s)
+    zero, one = MultiPoly.zero(), MultiPoly.constant(1)
+    terms = []
+    for size in range(0, n + 1, 2):
+        for subset in itertools.combinations(range(n), size):
+            weight = prod((diag[i] for i in range(n) if i not in subset),
+                          start=Fraction(1))
+            if not weight:
+                continue
+            root = _pfaffian_rec(lambda u, v, sub=subset: tilde[(sub[u], sub[v])],
+                                 tuple(range(size)), zero, one)
+            terms.append((weight, root))
+    return terms
+
+
+def _sum_of_squares(scale: Fraction, terms) -> MultiPoly:
+    total = MultiPoly.zero()
+    for weight, root in terms:
+        total = total + root * root * weight
+    return total * scale
+
+
+def expand_skewchar(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> MultiPoly:
+    """Fully expanded det(A - L) as a canonical polynomial in the l_ij.
+
+    Computed by the Pfaffian sum of the module docstring.
+    """
+    if a.n > max_dim:
+        raise ExpansionTooLarge(
+            f"dimension {a.n} exceeds the expansion cap {max_dim}")
+    s, d = lagrange_diagonalize(a)
+    return _sum_of_squares(1 / s.det ** 2, _pfaffian_terms(s, d.diagonal_entries()))
+
+
+def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Certificate:
     """Weighted sum-of-squares certificate for det(A - L) with A positive definite.
 
-    Diagonalize S^T A S = D with all d_i > 0.  Expanding det(D - M) for skew M
-    over principal submatrices gives det(D - M) = sum over even index subsets
-    U of (prod of d_i outside U) * Pf(M[U])^2.  Substituting M = S^T L S
-    symbolically and dividing by det(S)^2 turns that into an identity for
-    det(A - L) itself, with every weight positive.
-
-    The identity is re-verified here: symbolically up to dimension 5, by
-    exact sampling at `samples` seeded skew matrices above that.
+    When every d_i > 0, every weight of the Pfaffian sum (module docstring) is
+    positive.  The certificate is checked against the independent integer
+    eval_skewchar at _CERT_CHECK_SAMPLES seeded skew matrices: evidence
+    (sampled), not proof.
     """
     n = a.n
     if n > max_dim:
@@ -268,31 +234,10 @@ def certify_positive(
         raise NotPositiveDefinite(
             f"diagonalized form has non-positive entries {tuple(map(str, diag))}")
 
-    tilde = _symbolic_congruence_skew(s)
-
-    terms = []
-    for size in range(0, n + 1, 2):
-        for subset in itertools.combinations(range(n), size):
-            weight = Fraction(1)
-            for i in range(n):
-                if i not in subset:
-                    weight *= diag[i]
-            root = _pfaffian_rec(
-                lambda u, v, sub=subset: tilde[(sub[u], sub[v])],
-                tuple(range(size)),
-                MultiPoly.zero(),
-                MultiPoly.constant(1),
-            )
-            terms.append((weight, root))
-
-    cert = Certificate(n=n, detS2inv=1 / s.det ** 2, terms=tuple(terms))
-
-    if n <= 5:
-        if cert.replay_poly() != expand_skewchar(a, max_dim=max_dim):
-            raise RuntimeError("certificate replay does not match the expansion")
-    else:
-        for k in range(1, samples + 1):
-            probe = random_skew(n, _CERT_CHECK_SEED + k, 10)
-            if cert.evaluate(probe) != eval_skewchar(a, probe):
-                raise RuntimeError("certificate replay mismatch at a sampled point")
+    cert = Certificate(
+        n=n, detS2inv=1 / s.det ** 2, terms=tuple(_pfaffian_terms(s, diag)))
+    for k in range(1, _CERT_CHECK_SAMPLES + 1):
+        probe = random_skew(n, _CERT_CHECK_SEED + k, 10)
+        if cert.evaluate(probe) != eval_skewchar(a, probe):
+            raise RuntimeError("certificate replay mismatch at a sampled point")
     return cert

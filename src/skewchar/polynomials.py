@@ -17,10 +17,6 @@ from typing import Iterable, Iterator, Mapping, Union
 Scalar = Union[int, Fraction]
 
 
-class NonExactDivision(ArithmeticError):
-    """Division was expected to be exact but left a nonzero remainder."""
-
-
 class MissingVariable(KeyError):
     """An evaluation point omits a variable that occurs in the polynomial."""
 
@@ -94,20 +90,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when monomial a divides monomial b."""
-    exps = dict(b)
-    return all(exps.get(v, 0) >= e for v, e in a)
-
-
-def mono_div(b: Monomial, a: Monomial) -> Monomial:
-    """Quotient b / a; caller guarantees divisibility."""
-    exps = dict(b)
-    for v, e in a:
-        exps[v] -= e
-    return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
 class MultiPoly:
@@ -263,52 +245,6 @@ class MultiPoly:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
-
-    # -- division ----------------------------------------------------------
-
-    def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self / divisor in the polynomial ring.
-
-        Raises NonExactDivision when the division leaves a remainder; that
-        always signals a caller bug (the fraction-free elimination only ever
-        divides by known factors), never bad user input.
-        """
-        if not isinstance(divisor, MultiPoly):
-            divisor = MultiPoly.constant(divisor)
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return MultiPoly.zero()
-        order = {v: k for k, v in enumerate(sorted(
-            set(self.variables()) | set(divisor.variables())))}
-        nvars = len(order)
-
-        def key(mono: Monomial):
-            dense = [0] * nvars
-            for v, e in mono:
-                dense[order[v]] = e
-            return (mono_degree(mono), tuple(dense))
-
-        lead_d = max(divisor._terms, key=key)
-        coeff_d = divisor._terms[lead_d]
-        rem = dict(self._terms)
-        quo: dict[Monomial, Fraction] = {}
-        while rem:
-            lead_r = max(rem, key=key)
-            if not mono_divides(lead_d, lead_r):
-                raise NonExactDivision(
-                    f"{divisor} does not divide {self} exactly")
-            m = mono_div(lead_r, lead_d)
-            c = rem[lead_r] / coeff_d
-            quo[m] = quo.get(m, Fraction(0)) + c
-            for md, cd in divisor._terms.items():
-                mm = mono_mul(m, md)
-                s = rem.get(mm, Fraction(0)) - c * cd
-                if s:
-                    rem[mm] = s
-                else:
-                    rem.pop(mm, None)
-        return MultiPoly._raw({m: c for m, c in quo.items() if c})
 
     # -- evaluation ----------------------------------------------------------
 

@@ -133,6 +133,9 @@ def check_degenerate_branch() -> None:
 
 
 def check_certificate_replay() -> None:
+    for n in (2, 3, 4):
+        cert = certify_positive(SymmetricMatrix.identity(n))
+        assert cert.replay_poly() == _golden_identity_poly(n)
     rng = random.Random(606)
     samples = [
         SymmetricMatrix.identity(2),
@@ -144,7 +147,9 @@ def check_certificate_replay() -> None:
     for a in samples:
         cert = certify_positive(a)
         assert all(weight > 0 for weight, _ in cert.terms)
-        assert cert.replay_poly() == expand_skewchar(a)
+        for _ in range(5):
+            l = random_skew(a.n, rng.randint(0, 10**6))
+            assert cert.evaluate(l) == eval_skewchar(a, l)
 
 
 def check_classification() -> None:

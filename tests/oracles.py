@@ -1,7 +1,8 @@
 """Independent oracles the test suite checks the library against.
 
-Nothing here shares code with the implementation under test: determinants go
-through naive cofactor expansion instead of fraction-free elimination, and
+Nothing here shares code with the implementation under test: the symbolic
+matrix A - L is assembled entry by entry from MultiPoly and Var, determinants
+go through naive cofactor expansion instead of the Pfaffian expansion, and
 signatures come from characteristic polynomial coefficients via the
 Faddeev-LeVerrier recurrence and Descartes' rule (exact for symmetric
 matrices, whose eigenvalues are all real).
@@ -10,6 +11,8 @@ matrices, whose eigenvalues are all real).
 from __future__ import annotations
 
 from fractions import Fraction
+
+from skewchar import MultiPoly, Var
 
 
 def cofactor_det(rows):
@@ -25,6 +28,23 @@ def cofactor_det(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def symbolic_difference(a):
+    """Rows of A - L as MultiPoly entries: a_ij - l_ij above the diagonal,
+    a_ij + l_ji below it, a_ii on it."""
+    rows = []
+    for i in range(a.n):
+        row = []
+        for j in range(a.n):
+            entry = MultiPoly.constant(a.entry(i, j))
+            if i < j:
+                entry = entry - MultiPoly.variable(Var(i + 1, j + 1))
+            elif i > j:
+                entry = entry + MultiPoly.variable(Var(j + 1, i + 1))
+            row.append(entry)
+        rows.append(row)
+    return rows
 
 
 def char_poly_coeffs(rows) -> list[Fraction]:

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from generators import (
+    random_indefinite,
     random_invertible,
     random_positive_definite,
+    random_singular,
     random_skew_assignment,
     random_symmetric,
 )
-from oracles import cofactor_det
+from oracles import cofactor_det, symbolic_difference
 from skewchar import (
     Certificate,
     DimensionMismatch,
@@ -23,7 +25,6 @@ from skewchar import (
     SymmetricMatrix,
     TransitionMatrix,
     Var,
-    build_symbolic,
     certify_positive,
     covariance_check,
     det_rational,
@@ -57,36 +58,6 @@ def poly_at_skew(p: MultiPoly, l: SkewMatrix) -> Fraction:
     )
 
 
-# -- symbolic assembly ----------------------------------------------------------
-
-
-def test_build_symbolic_identity_2():
-    m = build_symbolic(SymmetricMatrix.identity(2))
-    assert m.entry(0, 0) == ONE
-    assert m.entry(0, 1) == -lam(1, 2)
-    assert m.entry(1, 0) == lam(1, 2)
-    assert m.entry(1, 1) == ONE
-
-
-def test_build_symbolic_identity_3():
-    m = build_symbolic(SymmetricMatrix.identity(3))
-    expected = [
-        [ONE, -lam(1, 2), -lam(1, 3)],
-        [lam(1, 2), ONE, -lam(2, 3)],
-        [lam(1, 3), lam(2, 3), ONE],
-    ]
-    for i in range(3):
-        for j in range(3):
-            assert m.entry(i, j) == expected[i][j]
-
-
-def test_build_symbolic_zero_matrix():
-    m = build_symbolic(SymmetricMatrix.zero(2))
-    assert m.entry(0, 0) == MultiPoly.zero()
-    assert m.entry(0, 1) == -lam(1, 2)
-    assert m.entry(1, 0) == lam(1, 2)
-
-
 # -- expansion -------------------------------------------------------------------
 
 
@@ -107,13 +78,22 @@ def test_expand_dimension_cap():
         expand_skewchar(SymmetricMatrix.identity(4), max_dim=3)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def zero_diagonal(a: SymmetricMatrix) -> SymmetricMatrix:
+    return SymmetricMatrix([[0 if i == j else a.entry(i, j) for j in range(a.n)]
+                            for i in range(a.n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_expand_matches_cofactor_oracle(n):
+    # Besides random forms: zero and negative d_i (singular, indefinite, zero)
+    # and the pairing pivots of a zero diagonal.
     rng = random.Random(600 + n)
-    for _ in range(8):
-        a = random_symmetric(rng, n)
-        rows = [list(row) for row in build_symbolic(a).entries]
-        assert expand_skewchar(a) == cofactor_det(rows)
+    forms = [random_symmetric(rng, n) for _ in range(8)]
+    forms += [SymmetricMatrix.zero(n), zero_diagonal(random_symmetric(rng, n))]
+    if n >= 2:  # both generators scramble with a shear between two indices
+        forms += [random_singular(rng, n), random_indefinite(rng, n)]
+    for a in forms:
+        assert expand_skewchar(a) == cofactor_det(symbolic_difference(a))
 
 
 def test_expand_per_variable_degree_bound():
@@ -304,7 +284,7 @@ def test_certificate_random_positive_definite(n):
         cert = certify_positive(a)
         assert cert.detS2inv > 0
         assert all(w > 0 for w, _ in cert.terms)
-        assert cert.replay_poly() == expand_skewchar(a)
+        assert cert.replay_poly() == cofactor_det(symbolic_difference(a))
 
 
 def test_certificate_rejects_non_positive():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from skewchar import (
     MissingVariable,
     MultiPoly,
-    NonExactDivision,
     PolyParseError,
     Var,
     lam,
@@ -58,25 +57,6 @@ def test_mul_annihilator():
     p = lam(1, 2) * lam(2, 3) + 7
     assert p * ZERO == ZERO
     assert p * 0 == ZERO
-
-
-def test_divexact_examples():
-    assert (lam(1, 2) ** 2 - 1).divexact(lam(1, 2) - 1) == lam(1, 2) + 1
-    p = lam(1, 2) * lam(1, 3) + lam(2, 3) ** 2 - Fraction(1, 2)
-    assert p.divexact(ONE) == p
-    assert (lam(1, 2) * lam(1, 3) + lam(1, 2)).divexact(lam(1, 2)) == lam(1, 3) + 1
-
-
-def test_divexact_rejects_remainder():
-    with pytest.raises(NonExactDivision):
-        (lam(1, 2) + 1).divexact(lam(1, 2))
-    with pytest.raises(NonExactDivision):
-        (lam(1, 2) ** 2 + 1).divexact(lam(1, 3))
-
-
-def test_divexact_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        ONE.divexact(ZERO)
 
 
 def test_eval_simple():
@@ -179,12 +159,6 @@ def test_eval_is_ring_homomorphism(p, q, x):
 @given(polys)
 def test_parse_round_trip(p):
     assert MultiPoly.parse(str(p)) == p
-
-
-@given(polys, polys)
-def test_divexact_inverts_mul(p, q):
-    if not q.is_zero:
-        assert (p * q).divexact(q) == p
 
 
 @given(polys, polys)
