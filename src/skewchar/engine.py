@@ -139,7 +139,10 @@ class Certificate:
         return _sum_of_squares(self.detS2inv, self.terms)
 
     def evaluate(self, l: SkewMatrix) -> Fraction:
-        """Exact numeric replay at a concrete skew matrix."""
+        """Exact numeric replay at a concrete skew matrix of the same dimension."""
+        if l.n != self.n:
+            raise DimensionMismatch(
+                f"certificate has n={self.n}, skew matrix has n={l.n}")
         assignment = {
             Var(i, j): l.entry(i - 1, j - 1)
             for i in range(1, self.n + 1)

@@ -2,8 +2,11 @@
 
 Everything here is immutable after construction and all arithmetic is exact:
 determinants run through fraction-free integer elimination after clearing
-denominators row by row, and diagonalization is a pure congruence reduction
-that never introduces square roots.
+denominators row by row.  Congruence diagonalization never introduces square
+roots: one routine, _congruence_pivots, runs symmetric fraction-free
+elimination on c*A (c the lcm of all denominators) and yields the exact
+diagonal and the basis changes.  signature() reads only the signs of that
+diagonal; lagrange_diagonalize() alone builds the transition matrix S.
 """
 
 from __future__ import annotations
@@ -365,6 +368,71 @@ def congruence_skew(l: SkewMatrix, s: TransitionMatrix) -> SkewMatrix:
     return SkewMatrix.from_full(_matmul(_matmul(st, l.full_rows()), s.rows))
 
 
+def _congruence_pivots(a: SymmetricMatrix) -> tuple[list[Fraction], list[tuple]]:
+    """Diagonal and basis changes of the congruence reduction S^T A S = D.
+
+    Pivot rules: swap the first nonzero trailing diagonal entry into place;
+    if the trailing diagonal is all zero, fold the first nonzero off-diagonal
+    pair (p, q) by e_p += e_q and swap p into place; stop at an all-zero
+    trailing block, whose diagonal entries are zero.
+
+    The reduction is symmetric fraction-free (Bareiss) elimination of the
+    integer matrix c*A, c the lcm of all denominators, with swaps and folds
+    applied congruently.  After pivot k the trailing block is c * pivot_k
+    times the rational Schur complement, so every division is exact,
+    d_k = pivot_k / (c * pivot_{k-1}), and each factor -M_ik / M_kk equals
+    the rational one.  Basis changes are recorded in order as
+    ("swap", p, q) and ("add", dst, src, num, den), the latter meaning
+    e_dst += (num / den) * e_src.
+    """
+    n = a.n
+    c = math.lcm(*(x.denominator for row in a.rows for x in row))
+    m = [[x.numerator * (c // x.denominator) for x in row] for row in a.rows]
+    diag = [Fraction(0)] * n
+    ops: list[tuple] = []
+
+    # Rows and columns before the current pivot are stale: they are never
+    # read again, so swaps and folds may touch them freely.
+    def swap(p: int, q: int) -> None:
+        for row in m:
+            row[p], row[q] = row[q], row[p]
+        m[p], m[q] = m[q], m[p]
+        ops.append(("swap", p, q))
+
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if pivot is not None:
+                swap(k, pivot)
+            else:
+                pair = next(
+                    ((p, q) for p in range(k, n) for q in range(p + 1, n) if m[p][q] != 0),
+                    None,
+                )
+                if pair is None:
+                    break  # trailing block is zero: remaining diagonal stays zero
+                p, q = pair
+                for row in m:
+                    row[p] += row[q]
+                m[p] = [x + y for x, y in zip(m[p], m[q])]
+                ops.append(("add", p, q, 1, 1))
+                if p != k:
+                    swap(k, p)
+        row_k = m[k]
+        pivot_val = row_k[k]
+        diag[k] = Fraction(pivot_val, c * prev)
+        for i in range(k + 1, n):
+            row_i = m[i]
+            f = row_i[k]
+            if f:
+                ops.append(("add", i, k, -f, pivot_val))
+            for j in range(i, n):
+                m[j][i] = row_i[j] = (pivot_val * row_i[j] - f * row_k[j]) // prev
+        prev = pivot_val
+    return diag, ops
+
+
 def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, SymmetricMatrix]:
     """Rational congruence diagonalization: returns (S, D) with S^T A S = D.
 
@@ -374,59 +442,34 @@ def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, Symmetri
     to manufacture a nonzero diagonal pivot.  A fully zero trailing block
     contributes zero diagonal entries.  No square roots are ever taken, so D
     is not normalized to entries of modulus one.
+
+    D comes from fraction-free integer elimination (_congruence_pivots); S is
+    built by replaying its recorded basis changes on the identity.
     """
     n = a.n
-    m = [list(row) for row in a.rows]
+    diag, ops = _congruence_pivots(a)
     s = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def swap_basis(p: int, q: int) -> None:
-        for row in m:
-            row[p], row[q] = row[q], row[p]
-        m[p], m[q] = m[q], m[p]
-        for row in s:
-            row[p], row[q] = row[q], row[p]
-
-    def add_basis(dst: int, src: int, f: Fraction) -> None:
-        # Basis change e_dst <- e_dst + f * e_src, applied congruently.
-        for row in m:
-            row[dst] += f * row[src]
-        for j in range(n):
-            m[dst][j] += f * m[src][j]
-        for row in s:
-            row[dst] += f * row[src]
-
-    for k in range(n):
-        if m[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
-            if pivot is not None:
-                swap_basis(k, pivot)
-            else:
-                pair = next(
-                    ((p, q) for p in range(k, n) for q in range(p + 1, n) if m[p][q] != 0),
-                    None,
-                )
-                if pair is None:
-                    break  # trailing block is zero: remaining diagonal stays zero
-                p, q = pair
-                add_basis(p, q, Fraction(1))
-                if p != k:
-                    swap_basis(k, p)
-        pivot_val = m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k]:
-                add_basis(i, k, -m[i][k] / pivot_val)
-
-    d = SymmetricMatrix.diagonal([m[i][i] for i in range(n)])
-    return TransitionMatrix(s), d
+    for op in ops:
+        if op[0] == "swap":
+            _, p, q = op
+            for row in s:
+                row[p], row[q] = row[q], row[p]
+        else:
+            _, dst, src, num, den = op
+            f = Fraction(num, den)
+            for row in s:
+                if row[src]:
+                    row[dst] += f * row[src]
+    return TransitionMatrix(s), SymmetricMatrix.diagonal(diag)
 
 
 def signature(a: SymmetricMatrix) -> Signature:
     """Counts of positive, negative and zero entries of a diagonalized form.
 
-    Basis independent by Sylvester's law of inertia.
+    Basis independent by Sylvester's law of inertia.  Reads the signs of the
+    diagonal from _congruence_pivots; no transition matrix is built.
     """
-    _, d = lagrange_diagonalize(a)
-    diag = d.diagonal_entries()
+    diag, _ = _congruence_pivots(a)
     pos = sum(1 for x in diag if x > 0)
     neg = sum(1 for x in diag if x < 0)
     return Signature(pos, neg, a.n - pos - neg)

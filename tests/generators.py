@@ -25,6 +25,15 @@ def random_symmetric(rng: random.Random, n: int, bound: int = 5) -> SymmetricMat
     return SymmetricMatrix(rows)
 
 
+def random_zero_diagonal(rng: random.Random, n: int, bound: int = 3) -> SymmetricMatrix:
+    """Zero diagonal, random off-diagonal entries: diagonalizing it needs fold pivots."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rational(rng, bound)
+    return SymmetricMatrix(rows)
+
+
 def random_invertible(rng: random.Random, n: int, bound: int = 3) -> TransitionMatrix:
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]

@@ -2,10 +2,11 @@
 
 Nothing here shares code with the implementation under test: the symbolic
 matrix A - L is assembled entry by entry from MultiPoly and Var, determinants
-go through naive cofactor expansion instead of the Pfaffian expansion, and
+go through naive cofactor expansion instead of the Pfaffian expansion,
 signatures come from characteristic polynomial coefficients via the
 Faddeev-LeVerrier recurrence and Descartes' rule (exact for symmetric
-matrices, whose eigenvalues are all real).
+matrices, whose eigenvalues are all real), and the congruence
+diagonalization is reproduced by plain Fraction elimination.
 """
 
 from __future__ import annotations
@@ -88,3 +89,57 @@ def signature_by_charpoly(rows) -> tuple[int, int, int]:
     negative = _descartes_sign_changes(negated)
     assert positive + negative + zeros == n
     return positive, negative, zeros
+
+
+def lagrange_reference(a) -> tuple[tuple, tuple]:
+    """Rows of (S, D) with S^T A S = D by Lagrange reduction over Fraction.
+
+    Same pivot rules as lagrange_diagonalize: swap in the first nonzero
+    trailing diagonal entry, else fold the first nonzero off-diagonal pair
+    (p, q) by e_p += e_q and swap p into place, stop at a zero trailing block.
+    Every basis change is applied to the whole matrix in rational arithmetic.
+    """
+    n = a.n
+    m = [list(row) for row in a.rows]
+    s = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def swap_basis(p: int, q: int) -> None:
+        for row in m:
+            row[p], row[q] = row[q], row[p]
+        m[p], m[q] = m[q], m[p]
+        for row in s:
+            row[p], row[q] = row[q], row[p]
+
+    def add_basis(dst: int, src: int, f: Fraction) -> None:
+        # Basis change e_dst <- e_dst + f * e_src, applied congruently.
+        for row in m:
+            row[dst] += f * row[src]
+        for j in range(n):
+            m[dst][j] += f * m[src][j]
+        for row in s:
+            row[dst] += f * row[src]
+
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if pivot is not None:
+                swap_basis(k, pivot)
+            else:
+                pair = next(
+                    ((p, q) for p in range(k, n) for q in range(p + 1, n) if m[p][q] != 0),
+                    None,
+                )
+                if pair is None:
+                    break
+                p, q = pair
+                add_basis(p, q, Fraction(1))
+                if p != k:
+                    swap_basis(k, p)
+        pivot_val = m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k]:
+                add_basis(i, k, -m[i][k] / pivot_val)
+
+    d = tuple(tuple(m[i][i] if i == j else Fraction(0) for j in range(n))
+              for i in range(n))
+    return tuple(tuple(row) for row in s), d

@@ -1,6 +1,7 @@
 """Tests for classification, witnesses and sign probing."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,19 @@ def test_classify_positive_definite():
     assert report.predicted_sign is PredictedSign.ALWAYS_POSITIVE
     assert report.signature == Signature(3, 0, 0)
     assert report.witness is None
+
+
+def test_classify_positive_definite_n30_is_fast():
+    rng = random.Random(3030)
+    n = 30
+    d = SymmetricMatrix.diagonal(
+        [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)])
+    a = congruence_sym(d, random_invertible(rng, n))
+    start = time.perf_counter()
+    report = classify(a)
+    elapsed = time.perf_counter() - start
+    assert report.signature == Signature(n, 0, 0)
+    assert elapsed < 1.0, f"classify at n={n} took {elapsed:.2f}s"
 
 
 def test_classify_negative_definite_even_dimension():

@@ -307,6 +307,14 @@ def test_certificate_numeric_evaluate():
         assert cert.evaluate(l) == eval_skewchar(a, l)
 
 
+def test_certificate_evaluate_dimension_mismatch():
+    cert = certify_positive(SymmetricMatrix.diagonal([1, 2, 3]))
+    with pytest.raises(DimensionMismatch):
+        cert.evaluate(SkewMatrix(4, {Var(3, 4): 1}))
+    with pytest.raises(DimensionMismatch):
+        cert.evaluate(SkewMatrix.zero(2))
+
+
 def test_certificate_serialization_golden():
     cert = certify_positive(SymmetricMatrix.diagonal([2, 3]))
     assert cert.to_text() == (

@@ -5,8 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from generators import random_invertible, random_symmetric
-from oracles import signature_by_charpoly
+from generators import (
+    random_indefinite,
+    random_invertible,
+    random_singular,
+    random_symmetric,
+    random_zero_diagonal,
+)
+from oracles import lagrange_reference, signature_by_charpoly
 from skewchar import (
     DimensionMismatch,
     MatrixParseError,
@@ -111,6 +117,21 @@ def test_lagrange_postcondition_random(n):
         assert congruence_sym(a, s) == d
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lagrange_matches_reference(n):
+    rng = random.Random(500 + n)
+    forms = [SymmetricMatrix.zero(n)]
+    for _ in range(12):
+        forms.append(random_symmetric(rng, n))
+        forms.append(random_zero_diagonal(rng, n))
+        if n > 1:
+            forms.append(random_singular(rng, n))
+            forms.append(random_indefinite(rng, n))
+    for a in forms:
+        s, d = lagrange_diagonalize(a)
+        assert (s.rows, d.rows) == lagrange_reference(a)
+
+
 def test_signature_examples():
     assert signature(SymmetricMatrix.diagonal([1, 1, -1])) == Signature(2, 1, 0)
     assert signature(SymmetricMatrix.identity(5)) == Signature(5, 0, 0)
@@ -118,11 +139,15 @@ def test_signature_examples():
     assert signature(SymmetricMatrix.zero(3)) == Signature(0, 0, 3)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_signature_matches_charpoly_oracle(n):
+@pytest.mark.parametrize("make, n", [
+    *(pytest.param(random_symmetric, n, id=str(n)) for n in (2, 3, 4, 5, 6)),
+    *(pytest.param(random_singular, n, id=f"singular-{n}") for n in (2, 4, 6)),
+    *(pytest.param(random_zero_diagonal, n, id=f"zero_diagonal-{n}") for n in (2, 4, 6)),
+])
+def test_signature_matches_charpoly_oracle(make, n):
     rng = random.Random(200 + n)
     for _ in range(10):
-        a = random_symmetric(rng, n)
+        a = make(rng, n)
         assert tuple(signature(a)) == signature_by_charpoly(a.rows)
 
 
