@@ -16,7 +16,6 @@ from .analyzer import (
     Witness,
     WitnessSearchExhausted,
     classify,
-    crosscheck_classification,
     sign_probe,
     witness_indefinite,
 )
@@ -27,7 +26,6 @@ from .engine import (
     NotPositiveDefinite,
     OddSubset,
     certify_positive,
-    covariance_check,
     eval_skewchar,
     expand_skewchar,
     pfaffian,
@@ -84,8 +82,6 @@ __all__ = [
     "classify",
     "congruence_skew",
     "congruence_sym",
-    "covariance_check",
-    "crosscheck_classification",
     "det_rational",
     "eval_skewchar",
     "expand_skewchar",

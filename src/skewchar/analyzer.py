@@ -14,6 +14,12 @@ diag(1, 1, -3, -3)), and then no exact zero witness exists at all.  The
 search below combines perfect-square tests over congruence diagonalizations
 with a bounded integer enumeration and reports exhaustion honestly instead
 of returning an approximate witness.
+
+The strict-sign witnesses are read off one diagonalization S^T A S = D.
+For a nondegenerate form it also gives the inverse, S^-T = A S D^-1, so the
+witness S^-T T S^-1 of a single coupling T is a rank-two skew matrix built
+from two columns of A S: the sign witnesses need no inverse and no matrix
+product.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .matrices import (
     SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
-    congruence_skew,
     congruence_sym,
     lagrange_diagonalize,
     random_skew,
@@ -229,7 +234,7 @@ def _enumerate_isotropic(m: list[list[int]], bound: int):
     return rec(0, 0, 0, False)
 
 
-def _isotropic_vector(a: SymmetricMatrix, s2: TransitionMatrix,
+def _isotropic_vector(a: SymmetricMatrix, s2: Sequence[Sequence[Fraction]],
                       diag2: Sequence[Fraction], m: int):
     """A nonzero rational vector x with x^T A x = 0, or None if not found.
 
@@ -246,7 +251,7 @@ def _isotropic_vector(a: SymmetricMatrix, s2: TransitionMatrix,
 
     y = _pair_isotropic(diag2, first_pair=(m - 1, m))
     if y is not None:
-        return _matvec(s2.rows, y)
+        return _matvec(s2, y)
 
     identity = tuple(range(n))
     for perm in itertools.permutations(range(n)):
@@ -274,6 +279,15 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
+def _wedge(p: Sequence[Fraction], q: Sequence[Fraction], scale: Fraction) -> SkewMatrix:
+    """The rank-two skew matrix scale * (p q^T - q p^T)."""
+    n = len(p)
+    return SkewMatrix(n, {
+        Var(u + 1, v + 1): scale * (p[u] * q[v] - q[u] * p[v])
+        for u in range(n) for v in range(u + 1, n)
+    })
+
+
 def _kernel_skew(a: SymmetricMatrix, x: Sequence[Fraction]) -> SkewMatrix:
     """The skew matrix (Ax x^T - x (Ax)^T) / (x^T x), which kills x in A - L.
 
@@ -281,13 +295,7 @@ def _kernel_skew(a: SymmetricMatrix, x: Sequence[Fraction]) -> SkewMatrix:
     in the kernel of A - L by construction.
     """
     xi = _primitive(x)
-    ax = _matvec(a.rows, xi)
-    norm = Fraction(sum(v * v for v in xi))
-    n = a.n
-    rows = [
-        [(ax[u] * xi[v] - xi[u] * ax[v]) / norm for v in range(n)] for u in range(n)
-    ]
-    return SkewMatrix.from_full(rows)
+    return _wedge(_matvec(a.rows, xi), xi, Fraction(1, sum(v * v for v in xi)))
 
 
 # -- public operations ---------------------------------------------------------
@@ -296,11 +304,15 @@ def _kernel_skew(a: SymmetricMatrix, x: Sequence[Fraction]) -> SkewMatrix:
 def witness_indefinite(a: SymmetricMatrix) -> Witness:
     """Exact zero / positive / negative witnesses for an indefinite form.
 
-    The strict-sign witnesses come from a single coupling entry between a
-    positive and a negative direction of the diagonalized form, mapped back
-    to the original basis; the zero witness comes from a rational isotropic
-    vector.  Raises WitnessSearchExhausted when no isotropic vector is found
-    within the search budget (for n <= 4 none may exist).
+    The strict-sign witnesses come from a single coupling entry t between
+    the last positive and the first negative direction of S^T A S = D, with
+    columns reordered so positive entries come first.  Mapped back to the
+    original basis it is S^-T T S^-1, and S^-T = A S D^-1 (D is invertible
+    here), so it equals t / (d_u d_v) ((Au)(Av)^T - (Av)(Au)^T) for the
+    columns u, v of S that carry those directions: no inverse is needed.
+    The zero witness comes from a rational isotropic vector.  Raises
+    WitnessSearchExhausted when no isotropic vector is found within the
+    search budget (for n <= 4 none may exist).
     """
     sig = signature(a)
     if sig.zero or sig.positive == 0 or sig.negative == 0:
@@ -310,7 +322,7 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     diag = d.diagonal_entries()
     n = a.n
     order = [i for i in range(n) if diag[i] > 0] + [i for i in range(n) if diag[i] < 0]
-    s2 = s @ TransitionMatrix.permutation(order)
+    s2 = [[row[k] for k in order] for row in s.rows]
     diag2 = [diag[i] for i in order]
     m = sig.positive
 
@@ -331,8 +343,9 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     value_a = eval_skewchar(a, lam_a)
     gap = -diag2[m - 1] * diag2[m]
     t_big = math.isqrt(gap.numerator // gap.denominator) + 1
-    tilde = SkewMatrix(n, {Var(m, m + 1): Fraction(t_big)})
-    lam_b = congruence_skew(tilde, s2.inverse())
+    au = _matvec(a.rows, [row[m - 1] for row in s2])
+    av = _matvec(a.rows, [row[m] for row in s2])
+    lam_b = _wedge(au, av, t_big / (diag2[m - 1] * diag2[m]))
     value_b = eval_skewchar(a, lam_b)
     if value_a == 0 or value_b == 0 or (value_a > 0) == (value_b > 0):
         raise RuntimeError("bracketing witnesses did not produce both strict signs")
@@ -394,29 +407,3 @@ def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,
         else:
             zeros += 1
     return ProbeReport(positives, negatives, zeros)
-
-
-def crosscheck_classification(a: SymmetricMatrix, trials: int = 200,
-                              seed: int = 0, bound: int = 10) -> bool:
-    """Consistency check between the verdict and the polynomial's behaviour.
-
-    Definite verdicts must see their predicted strict sign on every probe;
-    non-definite verdicts must carry witnesses that validate exactly.
-    """
-    report = classify(a)
-    if report.verdict in (Verdict.POSITIVE_DEFINITE, Verdict.NEGATIVE_DEFINITE):
-        probe = sign_probe(a, trials, seed, bound)
-        if probe.zeros:
-            return False
-        if report.predicted_sign is PredictedSign.ALWAYS_POSITIVE:
-            return probe.positives == trials
-        return probe.negatives == trials
-    w = report.witness
-    if w is None or eval_skewchar(a, w.lambda_zero) != 0:
-        return False
-    if report.verdict is Verdict.INDEFINITE:
-        if w.lambda_plus is None or w.lambda_minus is None:
-            return False
-        return (eval_skewchar(a, w.lambda_plus) > 0
-                and eval_skewchar(a, w.lambda_minus) < 0)
-    return True

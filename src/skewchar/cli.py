@@ -14,12 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analyzer import (
-    NotIndefinite,
-    WitnessSearchExhausted,
-    classify,
-    sign_probe,
-)
+from .analyzer import WitnessSearchExhausted, classify, sign_probe
 from .engine import (
     DEFAULT_MAX_DIM,
     ExpansionTooLarge,
@@ -36,37 +31,26 @@ class _InputError(Exception):
     pass
 
 
-def _read_symmetric(path: str) -> SymmetricMatrix:
+def _read(path: str, parse):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return SymmetricMatrix.from_text(text)
-    except MatrixParseError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-
-
-def _read_skew(path: str) -> SkewMatrix:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return SkewMatrix.from_text(text)
+        return parse(text)
     except MatrixParseError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    a = _read_symmetric(args.matrix)
+    a = _read(args.matrix, SymmetricMatrix.from_text)
     print(expand_skewchar(a, max_dim=args.max_dim))
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    a = _read_symmetric(args.matrix)
-    l = _read_skew(args.skew)
+    a = _read(args.matrix, SymmetricMatrix.from_text)
+    l = _read(args.skew, SkewMatrix.from_text)
     if a.n != l.n:
         raise _InputError(f"dimension mismatch: form has n={a.n}, skew has n={l.n}")
     print(eval_skewchar(a, l))
@@ -74,13 +58,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    a = _read_symmetric(args.matrix)
+    a = _read(args.matrix, SymmetricMatrix.from_text)
     print(classify(a).to_text(), end="")
     return 0
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    a = _read_symmetric(args.matrix)
+    a = _read(args.matrix, SymmetricMatrix.from_text)
     report = classify(a)
     if report.witness is None:
         raise _InputError(
@@ -91,7 +75,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    a = _read_symmetric(args.matrix)
+    a = _read(args.matrix, SymmetricMatrix.from_text)
     try:
         cert = certify_positive(a, max_dim=args.max_dim)
     except NotPositiveDefinite as exc:
@@ -101,7 +85,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    a = _read_symmetric(args.matrix)
+    a = _read(args.matrix, SymmetricMatrix.from_text)
     report = sign_probe(a, trials=args.trials, seed=args.seed, bound=args.bound)
     print("command: probe")
     print(f"seed: {args.seed}")
@@ -177,9 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     except ExpansionTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NotIndefinite, NotPositiveDefinite) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except WitnessSearchExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,8 +26,6 @@ from .matrices import (
     SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
-    congruence_skew,
-    congruence_sym,
     det_rational,
     lagrange_diagonalize,
     random_skew,
@@ -64,20 +62,6 @@ def _difference_rows(a: SymmetricMatrix, l: SkewMatrix):
 def eval_skewchar(a: SymmetricMatrix, l: SkewMatrix) -> Fraction:
     """Exact value det(A - L) at a concrete skew matrix."""
     return det_rational(_difference_rows(a, l))
-
-
-def covariance_check(
-    a: SymmetricMatrix, l: SkewMatrix, s: TransitionMatrix
-) -> tuple[Fraction, Fraction]:
-    """Both sides of the basis-change law: returns (P(S^T A S, S^T L S), det(S)^2 P(A, L)).
-
-    The two components agree for every valid input; callers assert equality.
-    """
-    if a.n != s.n or l.n != s.n:
-        raise DimensionMismatch("dimensions of A, L and S must agree")
-    lhs = eval_skewchar(congruence_sym(a, s), congruence_skew(l, s))
-    rhs = s.det ** 2 * eval_skewchar(a, l)
-    return lhs, rhs
 
 
 def _pfaffian_rec(entry, indices: tuple, zero, one):

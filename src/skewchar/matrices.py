@@ -316,29 +316,6 @@ class TransitionMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def transpose(self) -> "TransitionMatrix":
-        return TransitionMatrix(_transpose(self.rows))
-
-    def inverse(self) -> "TransitionMatrix":
-        n = self.n
-        aug = [list(self.rows[i]) + [Fraction(int(i == j)) for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            pivot_row = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            pivot = aug[col][col]
-            aug[col] = [x / pivot for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return TransitionMatrix([row[n:] for row in aug])
-
-    def __matmul__(self, other: "TransitionMatrix") -> "TransitionMatrix":
-        if self.n != other.n:
-            raise DimensionMismatch("matrix sizes differ")
-        return TransitionMatrix(_matmul(self.rows, other.rows))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TransitionMatrix) and self.rows == other.rows
 

@@ -3,6 +3,7 @@
 Everything here is deterministic, so two runs of the selftest produce
 byte-identical output.  The checks are a condensed version of the full test
 suite, suitable for verifying an installation from the command line.
+covariance_check and crosscheck_classification are shared with that suite.
 """
 
 from __future__ import annotations
@@ -11,22 +12,65 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .analyzer import Verdict, classify, crosscheck_classification, witness_indefinite
-from .engine import (
-    certify_positive,
-    covariance_check,
-    eval_skewchar,
-    expand_skewchar,
-    pfaffian,
+from .analyzer import (
+    PredictedSign,
+    Verdict,
+    classify,
+    sign_probe,
+    witness_indefinite,
 )
+from .engine import certify_positive, eval_skewchar, expand_skewchar, pfaffian
 from .matrices import (
+    DimensionMismatch,
+    SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
+    congruence_skew,
     congruence_sym,
     det_rational,
     random_skew,
 )
 from .polynomials import MultiPoly, lam
+
+
+def covariance_check(
+    a: SymmetricMatrix, l: SkewMatrix, s: TransitionMatrix
+) -> tuple[Fraction, Fraction]:
+    """Both sides of the basis-change law: returns (P(S^T A S, S^T L S), det(S)^2 P(A, L)).
+
+    The two components agree for every valid input; callers assert equality.
+    """
+    if a.n != s.n or l.n != s.n:
+        raise DimensionMismatch("dimensions of A, L and S must agree")
+    lhs = eval_skewchar(congruence_sym(a, s), congruence_skew(l, s))
+    rhs = s.det ** 2 * eval_skewchar(a, l)
+    return lhs, rhs
+
+
+def crosscheck_classification(a: SymmetricMatrix, trials: int = 200,
+                              seed: int = 0, bound: int = 10) -> bool:
+    """Consistency check between the verdict and the polynomial's behaviour.
+
+    Definite verdicts must see their predicted strict sign on every probe;
+    non-definite verdicts must carry witnesses that validate exactly.
+    """
+    report = classify(a)
+    if report.verdict in (Verdict.POSITIVE_DEFINITE, Verdict.NEGATIVE_DEFINITE):
+        probe = sign_probe(a, trials, seed, bound)
+        if probe.zeros:
+            return False
+        if report.predicted_sign is PredictedSign.ALWAYS_POSITIVE:
+            return probe.positives == trials
+        return probe.negatives == trials
+    w = report.witness
+    if w is None or eval_skewchar(a, w.lambda_zero) != 0:
+        return False
+    if report.verdict is Verdict.INDEFINITE:
+        if w.lambda_plus is None or w.lambda_minus is None:
+            return False
+        return (eval_skewchar(a, w.lambda_plus) > 0
+                and eval_skewchar(a, w.lambda_minus) < 0)
+    return True
 
 
 def _golden_identity_poly(n: int) -> MultiPoly:

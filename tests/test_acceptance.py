@@ -25,7 +25,6 @@ from skewchar import (
     Verdict,
     certify_positive,
     classify,
-    covariance_check,
     det_rational,
     eval_skewchar,
     expand_skewchar,
@@ -34,6 +33,7 @@ from skewchar import (
     random_skew,
     witness_indefinite,
 )
+from skewchar.selftest import covariance_check
 
 # Expanded polynomials produced by criteria 1 and 2, reused by criterion 10.
 _EXPANSIONS: list[MultiPoly] = []

@@ -23,11 +23,11 @@ from skewchar import (
     WitnessSearchExhausted,
     classify,
     congruence_sym,
-    crosscheck_classification,
     eval_skewchar,
     sign_probe,
     witness_indefinite,
 )
+from skewchar.selftest import crosscheck_classification
 
 
 def assert_witness_contracts(a, w):
@@ -199,6 +199,82 @@ def test_witness_search_exhaustion_is_honest():
     # never vanishes rationally; the search must report that, not fake it.
     with pytest.raises(WitnessSearchExhausted):
         witness_indefinite(SymmetricMatrix.diagonal([1, -2]))
+    # anisotropic at 3: no rational zero exists, whatever the budget
+    with pytest.raises(WitnessSearchExhausted):
+        witness_indefinite(SymmetricMatrix.diagonal([1, 1, -3, -3]))
+
+
+_WITNESS_GOLDENS = [
+    pytest.param(
+        [[-1, -3, -3], [-3, -3, -3], [-3, -3, -2]],
+        "verdict: Indefinite\n"
+        "signature: 2 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "3\n1 2 4/3\n1 3 1/3\n2 3 -5/3\n"
+        "witness lambda_plus: P = 18\n"
+        "3\n1 3 -2\n2 3 -6\n"
+        "witness lambda_minus: P = -6\n"
+        "3\n",
+        id="first_pair"),
+    pytest.param(
+        [[2, 2, 0], [2, 3, 1], [0, 1, -2]],
+        "verdict: Indefinite\n"
+        "signature: 2 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "3\n1 2 -3/2\n1 3 2\n2 3 3/2\n"
+        "witness lambda_plus: P = 2\n"
+        "3\n2 3 2\n"
+        "witness lambda_minus: P = -6\n"
+        "3\n",
+        id="permutation_1"),
+    pytest.param(
+        [[9, 0, -5], [0, -3, 0], [-5, 0, 3]],
+        "verdict: Indefinite\n"
+        "signature: 2 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "3\n1 2 -5/2\n1 3 -5/2\n2 3 -3\n"
+        "witness lambda_plus: P = 3\n"
+        "3\n2 3 -1\n"
+        "witness lambda_minus: P = -6\n"
+        "3\n",
+        id="permutation_3"),
+    pytest.param(
+        [[1, 0, 0], [0, 2, 0], [0, 0, -3]],
+        "verdict: Indefinite\n"
+        "signature: 2 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "3\n1 2 1/3\n1 3 -4/3\n2 3 5/3\n"
+        "witness lambda_plus: P = 3\n"
+        "3\n2 3 3\n"
+        "witness lambda_minus: P = -6\n"
+        "3\n",
+        id="enumeration_3"),
+    pytest.param(
+        [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, -6]],
+        "verdict: Indefinite\n"
+        "signature: 3 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "4\n1 2 1/4\n1 3 1/2\n1 4 -7/4\n2 3 -1/4\n2 4 2\n3 4 9/4\n"
+        "witness lambda_plus: P = 14\n"
+        "4\n3 4 5\n"
+        "witness lambda_minus: P = -36\n"
+        "4\n",
+        id="enumeration_4"),
+]
+
+
+@pytest.mark.parametrize("rows, text", _WITNESS_GOLDENS)
+def test_witness_goldens_per_search_path(rows, text):
+    # One form per path of the isotropic search: the first opposite-sign
+    # pair of the diagonalization, a hit on the 1st and on the 3rd
+    # coordinate permutation, and integer enumeration at n = 3 and n = 4.
+    report = classify(SymmetricMatrix(rows))
+    assert report.to_text() == text
 
 
 # -- probing ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ from skewchar import (
     TransitionMatrix,
     Var,
     certify_positive,
-    covariance_check,
     det_rational,
     eval_skewchar,
     expand_skewchar,
@@ -35,6 +34,7 @@ from skewchar import (
     random_skew,
     sub_pfaffian_poly,
 )
+from skewchar.selftest import covariance_check
 
 ONE = MultiPoly.constant(1)
 

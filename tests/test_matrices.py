@@ -216,13 +216,6 @@ def test_det_rational_known_values():
     assert det_rational([[1]]) == 1
 
 
-def test_transition_inverse():
-    rng = random.Random(17)
-    for n in (2, 3, 4):
-        s = random_invertible(rng, n)
-        assert s @ s.inverse() == TransitionMatrix.identity(n)
-
-
 def test_symmetric_text_round_trip():
     a = SymmetricMatrix([[Fraction(1, 2), -2], [-2, 3]])
     assert SymmetricMatrix.from_text(a.to_text()) == a
