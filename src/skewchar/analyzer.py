@@ -13,7 +13,8 @@ Indefinite forms of dimension up to four can fail to have one (for example
 diag(1, 1, -3, -3)), and then no exact zero witness exists at all.  The
 search below combines perfect-square tests over congruence diagonalizations
 with a bounded integer enumeration and reports exhaustion honestly instead
-of returning an approximate witness.
+of returning an approximate witness; classify then still gives the exact
+verdict and both strict-sign witnesses.
 
 The strict-sign witnesses are read off one diagonalization S^T A S = D.
 For a nondegenerate form it also gives the inverse, S^-T = A S D^-1, so the
@@ -49,8 +50,15 @@ class NotIndefinite(ValueError):
     """Witness construction applies only to nondegenerate mixed-signature forms."""
 
 
+_EXHAUSTED = ("no rational skew matrix with det(A - L) = 0 found within the "
+              "search budget; for dimension <= 4 such a matrix may not exist")
+
+
 class WitnessSearchExhausted(RuntimeError):
     """No exact rational zero of det(A - L) was found within the search budget."""
+
+    def __init__(self, message: str = _EXHAUSTED) -> None:
+        super().__init__(message)
 
 
 class Verdict(str, Enum):
@@ -70,14 +78,15 @@ class PredictedSign(str, Enum):
 class Witness:
     """Skew matrices pinning down the sign behaviour of det(A - L).
 
-    lambda_zero always satisfies det(A - lambda_zero) = 0 exactly.  For
+    lambda_zero satisfies det(A - lambda_zero) = 0 exactly; it is None only
+    when classify found no rational zero within the search budget.  For
     indefinite forms lambda_plus and lambda_minus carry the two strict signs;
     for degenerate forms only the zero witness is populated (the zero matrix
     itself, since det(A) = 0).
     """
 
-    lambda_zero: SkewMatrix
-    value_zero: Fraction
+    lambda_zero: Optional[SkewMatrix]
+    value_zero: Optional[Fraction]
     lambda_plus: Optional[SkewMatrix] = None
     value_plus: Optional[Fraction] = None
     lambda_minus: Optional[SkewMatrix] = None
@@ -100,14 +109,14 @@ class ClassificationReport:
         ]
         if self.witness is not None:
             w = self.witness
-            sections = [("lambda_zero", w.lambda_zero, w.value_zero)]
-            if w.lambda_plus is not None:
-                sections.append(("lambda_plus", w.lambda_plus, w.value_plus))
-            if w.lambda_minus is not None:
-                sections.append(("lambda_minus", w.lambda_minus, w.value_minus))
-            for name, skew, value in sections:
-                lines.append(f"witness {name}: P = {value}")
-                lines.append(skew.to_text().rstrip("\n"))
+            if w.lambda_zero is None:
+                lines.append("witness lambda_zero: none (search budget exhausted)")
+            for name, skew, value in (("lambda_zero", w.lambda_zero, w.value_zero),
+                                      ("lambda_plus", w.lambda_plus, w.value_plus),
+                                      ("lambda_minus", w.lambda_minus, w.value_minus)):
+                if skew is not None:
+                    lines.append(f"witness {name}: P = {value}")
+                    lines.append(skew.to_text().rstrip("\n"))
         return "\n".join(lines) + "\n"
 
 
@@ -301,19 +310,8 @@ def _kernel_skew(a: SymmetricMatrix, x: Sequence[Fraction]) -> SkewMatrix:
 # -- public operations ---------------------------------------------------------
 
 
-def witness_indefinite(a: SymmetricMatrix) -> Witness:
-    """Exact zero / positive / negative witnesses for an indefinite form.
-
-    The strict-sign witnesses come from a single coupling entry t between
-    the last positive and the first negative direction of S^T A S = D, with
-    columns reordered so positive entries come first.  Mapped back to the
-    original basis it is S^-T T S^-1, and S^-T = A S D^-1 (D is invertible
-    here), so it equals t / (d_u d_v) ((Au)(Av)^T - (Av)(Au)^T) for the
-    columns u, v of S that carry those directions: no inverse is needed.
-    The zero witness comes from a rational isotropic vector.  Raises
-    WitnessSearchExhausted when no isotropic vector is found within the
-    search budget (for n <= 4 none may exist).
-    """
+def _indefinite_witness(a: SymmetricMatrix) -> Witness:
+    """witness_indefinite, but with lambda_zero None when the search is exhausted."""
     sig = signature(a)
     if sig.zero or sig.positive == 0 or sig.negative == 0:
         raise NotIndefinite(f"signature {tuple(sig)} is not mixed nondegenerate")
@@ -327,14 +325,12 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     m = sig.positive
 
     x = _isotropic_vector(a, s2, diag2, m)
-    if x is None:
-        raise WitnessSearchExhausted(
-            "no rational skew matrix with det(A - L) = 0 found within the "
-            "search budget; for dimension <= 4 such a matrix may not exist")
-    lam_zero = _kernel_skew(a, x)
-    value_zero = eval_skewchar(a, lam_zero)
-    if value_zero != 0:
-        raise RuntimeError("zero witness failed to annihilate the determinant")
+    lam_zero = value_zero = None
+    if x is not None:
+        lam_zero = _kernel_skew(a, x)
+        value_zero = eval_skewchar(a, lam_zero)
+        if value_zero != 0:
+            raise RuntimeError("zero witness failed to annihilate the determinant")
 
     # Bracket the coupling strength between the last positive and first
     # negative direction: t = 0 gives sign(det A), any t with
@@ -364,13 +360,33 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     )
 
 
+def witness_indefinite(a: SymmetricMatrix) -> Witness:
+    """Exact zero / positive / negative witnesses for an indefinite form.
+
+    The strict-sign witnesses come from a single coupling entry t between
+    the last positive and the first negative direction of S^T A S = D, with
+    columns reordered so positive entries come first.  Mapped back to the
+    original basis it is S^-T T S^-1, and S^-T = A S D^-1 (D is invertible
+    here), so it equals t / (d_u d_v) ((Au)(Av)^T - (Av)(Au)^T) for the
+    columns u, v of S that carry those directions: no inverse is needed.
+    The zero witness comes from a rational isotropic vector.  Raises
+    WitnessSearchExhausted when no isotropic vector is found within the
+    search budget (for n <= 4 none may exist).
+    """
+    witness = _indefinite_witness(a)
+    if witness.lambda_zero is None:
+        raise WitnessSearchExhausted()
+    return witness
+
+
 def classify(a: SymmetricMatrix) -> ClassificationReport:
     """Exact classification of a quadratic form from its signature.
 
     Definite verdicts predict the strict sign of det(A - L): always positive
     for positive forms, and for negative forms positive or negative according
     to the parity of the dimension.  Degenerate and indefinite forms carry an
-    explicit witness.
+    explicit witness; when the zero search of an indefinite form is exhausted,
+    the witness has only its two strict-sign matrices.
     """
     sig = signature(a)
     n = a.n
@@ -389,7 +405,7 @@ def classify(a: SymmetricMatrix) -> ClassificationReport:
         return ClassificationReport(Verdict.NEGATIVE_DEFINITE, sig, predicted)
     return ClassificationReport(
         Verdict.INDEFINITE, sig, PredictedSign.NOT_SIGN_DEFINITE,
-        witness_indefinite(a))
+        _indefinite_witness(a))
 
 
 def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,

@@ -4,8 +4,9 @@ Subcommands: expand, eval, classify, witness, certify, probe, selftest.
 All output is deterministic plain text; seeded commands print their seed in
 a header so runs can be reproduced exactly.
 
-Exit codes: 0 success, 1 selftest or contract failure, 2 input error,
-3 dimension cap exceeded.
+Exit codes: 0 success, 1 selftest failure or a witness search that found no
+rational zero within its budget (classify then still prints its verdict and
+exits 0), 2 input error, 3 dimension cap exceeded.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         raise _InputError(
             f"form is {report.verdict.value}: det(A - L) is sign-definite, "
             "no sign-change witness exists")
+    if report.witness.lambda_zero is None:
+        raise WitnessSearchExhausted()
     print(report.to_text(), end="")
     return 0
 
@@ -108,6 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Exact analysis of det(A - L): expansion, evaluation, definiteness "
             "classification, sign witnesses, and positivity certificates."),
+        epilog=(
+            "exit codes: 0 success; 1 selftest failure, or witness found no "
+            "rational zero within its search budget; 2 input error; 3 dimension "
+            "cap exceeded."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,10 +7,9 @@ it at concrete skew matrices, computes Pfaffians, and builds weighted
 sum-of-squares certificates for positive definite A.
 
 Expansion and certificates share one algorithm.  Congruence-diagonalize
-S^T A S = D and put M = S^T L S; then det(S)^2 det(A - L) = det(D - M), and
-det(D - M) is the sum over even index subsets U of (prod of d_i outside U)
-times Pf(M[U])^2.  The identity holds for every diagonal D, whatever the
-signs of the d_i.
+S^T A S = D with det S = +-1 and put M = S^T L S; then det(A - L) =
+det(D - M), the sum over even index subsets U of (prod of d_i outside U)
+times Pf(M[U])^2, whatever the signs of the d_i.
 """
 
 from __future__ import annotations
@@ -107,20 +106,19 @@ def sub_pfaffian_poly(n: int, subset: Sequence[int]) -> MultiPoly:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A positivity certificate: scale * sum of weight * square_root^2.
+    """A positivity certificate: det(A - L) = sum of weight * square_root^2.
 
-    All weights and the scale are strictly positive rationals, so the
-    certified polynomial is positive wherever any square_root is nonzero and
-    at least the constant term survives (the empty-subset square root is 1).
+    All weights are strictly positive rationals and the empty-subset root is
+    1, so the sum is positive.  det S = +-1, so no scale applies; "scale: 1"
+    is a fixed line of the text format.
     """
 
     n: int
-    detS2inv: Fraction
     terms: tuple  # tuple[tuple[Fraction, MultiPoly], ...]
 
     def replay_poly(self) -> MultiPoly:
         """Symbolic replay of the certified polynomial."""
-        return _sum_of_squares(self.detS2inv, self.terms)
+        return _sum_of_squares(self.terms)
 
     def evaluate(self, l: SkewMatrix) -> Fraction:
         """Exact numeric replay at a concrete skew matrix of the same dimension."""
@@ -132,14 +130,10 @@ class Certificate:
             for i in range(1, self.n + 1)
             for j in range(i + 1, self.n + 1)
         }
-        total = Fraction(0)
-        for weight, root in self.terms:
-            value = root.evaluate(assignment)
-            total += weight * value * value
-        return self.detS2inv * total
+        return sum((w * r.evaluate(assignment) ** 2 for w, r in self.terms), Fraction(0))
 
     def to_text(self) -> str:
-        lines = [f"n: {self.n}", f"scale: {self.detS2inv}"]
+        lines = [f"n: {self.n}", "scale: 1"]
         lines.extend(
             f"weight: {weight} ; sqroot: {root}" for weight, root in self.terms
         )
@@ -185,11 +179,8 @@ def _pfaffian_terms(s: TransitionMatrix, diag: Sequence[Fraction]) -> list:
     return terms
 
 
-def _sum_of_squares(scale: Fraction, terms) -> MultiPoly:
-    total = MultiPoly.zero()
-    for weight, root in terms:
-        total = total + root * root * weight
-    return total * scale
+def _sum_of_squares(terms) -> MultiPoly:
+    return sum((root * root * weight for weight, root in terms), MultiPoly.zero())
 
 
 def expand_skewchar(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> MultiPoly:
@@ -201,7 +192,7 @@ def expand_skewchar(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Multi
         raise ExpansionTooLarge(
             f"dimension {a.n} exceeds the expansion cap {max_dim}")
     s, d = lagrange_diagonalize(a)
-    return _sum_of_squares(1 / s.det ** 2, _pfaffian_terms(s, d.diagonal_entries()))
+    return _sum_of_squares(_pfaffian_terms(s, d.diagonal_entries()))
 
 
 def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Certificate:
@@ -221,8 +212,7 @@ def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Cert
         raise NotPositiveDefinite(
             f"diagonalized form has non-positive entries {tuple(map(str, diag))}")
 
-    cert = Certificate(
-        n=n, detS2inv=1 / s.det ** 2, terms=tuple(_pfaffian_terms(s, diag)))
+    cert = Certificate(n=n, terms=tuple(_pfaffian_terms(s, diag)))
     for k in range(1, _CERT_CHECK_SAMPLES + 1):
         probe = random_skew(n, _CERT_CHECK_SEED + k, 10)
         if cert.evaluate(probe) != eval_skewchar(a, probe):

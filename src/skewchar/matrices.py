@@ -296,6 +296,13 @@ class TransitionMatrix:
         self.det = d
 
     @classmethod
+    def _unimodular(cls, rows: list[list[Fraction]], det: int) -> "TransitionMatrix":
+        # Trusted path for lagrange_diagonalize: Fraction rows, det = +-1 known.
+        s = object.__new__(cls)
+        s.rows, s.n, s.det = tuple(map(tuple, rows)), len(rows), Fraction(det)
+        return s
+
+    @classmethod
     def identity(cls, n: int) -> "TransitionMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -420,8 +427,9 @@ def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, Symmetri
     contributes zero diagonal entries.  No square roots are ever taken, so D
     is not normalized to entries of modulus one.
 
-    D comes from fraction-free integer elimination (_congruence_pivots); S is
-    built by replaying its recorded basis changes on the identity.
+    D comes from fraction-free integer elimination (_congruence_pivots); S
+    replays its basis changes, swaps and e_dst += f * e_src with dst != src,
+    on the identity, so det S = (-1)^swaps by construction and is not checked.
     """
     n = a.n
     diag, ops = _congruence_pivots(a)
@@ -437,7 +445,8 @@ def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, Symmetri
             for row in s:
                 if row[src]:
                     row[dst] += f * row[src]
-    return TransitionMatrix(s), SymmetricMatrix.diagonal(diag)
+    det = (-1) ** sum(op[0] == "swap" for op in ops)
+    return TransitionMatrix._unimodular(s, det), SymmetricMatrix.diagonal(diag)
 
 
 def signature(a: SymmetricMatrix) -> Signature:

@@ -69,6 +69,13 @@ def random_positive_definite(rng: random.Random, n: int) -> SymmetricMatrix:
     return SymmetricMatrix(rows)
 
 
+def scrambled_positive_definite(rng: random.Random, n: int) -> SymmetricMatrix:
+    """S^T D S with D entries p/q (1 <= p <= 5, q <= 3) and a small-integer S."""
+    d = SymmetricMatrix.diagonal(
+        [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)])
+    return congruence_sym(d, random_invertible(rng, n))
+
+
 def random_indefinite(rng: random.Random, n: int) -> SymmetricMatrix:
     """Scrambled mixed-signature diagonal with bounded-height isotropic structure.
 

@@ -11,6 +11,7 @@ from generators import (
     random_invertible,
     random_positive_definite,
     random_singular,
+    scrambled_positive_definite,
 )
 from skewchar import (
     NotIndefinite,
@@ -48,11 +49,8 @@ def test_classify_positive_definite():
 
 
 def test_classify_positive_definite_n30_is_fast():
-    rng = random.Random(3030)
     n = 30
-    d = SymmetricMatrix.diagonal(
-        [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)])
-    a = congruence_sym(d, random_invertible(rng, n))
+    a = scrambled_positive_definite(random.Random(3030), n)
     start = time.perf_counter()
     report = classify(a)
     elapsed = time.perf_counter() - start
@@ -202,6 +200,18 @@ def test_witness_search_exhaustion_is_honest():
     # anisotropic at 3: no rational zero exists, whatever the budget
     with pytest.raises(WitnessSearchExhausted):
         witness_indefinite(SymmetricMatrix.diagonal([1, 1, -3, -3]))
+
+
+@pytest.mark.parametrize("diag", [[1, -2], [1, 1, -3, -3]])
+def test_classify_gives_verdict_when_zero_search_is_exhausted(diag):
+    a = SymmetricMatrix.diagonal(diag)
+    report = classify(a)
+    assert report.verdict is Verdict.INDEFINITE
+    w = report.witness
+    assert w.lambda_zero is None and w.value_zero is None
+    assert eval_skewchar(a, w.lambda_plus) == w.value_plus > 0
+    assert eval_skewchar(a, w.lambda_minus) == w.value_minus < 0
+    assert crosscheck_classification(a)
 
 
 _WITNESS_GOLDENS = [

@@ -21,6 +21,9 @@ def files(tmp_path):
         "rank1": write("rank1.txt", "2\n1 2\n2 4\n"),
         "skew3": write("skew3.txt", "3\n1 2 1\n1 3 2\n2 3 3\n"),
         "bad": write("bad.txt", "2\n1 2\n3 4\n"),
+        "aniso2": write("aniso2.txt", "2\n1 0\n0 -2\n"),
+        "aniso4": write("aniso4.txt",
+                        "4\n1 0 0 0\n0 1 0 0\n0 0 -3 0\n0 0 0 -3\n"),
     }
 
 
@@ -111,6 +114,52 @@ def test_witness_on_definite_is_input_error(files, capsys):
     code, _, err = run(capsys, ["witness", files["id2"]])
     assert code == 2
     assert "sign-definite" in err
+
+
+_EXHAUSTED_ERR = (
+    "error: no rational skew matrix with det(A - L) = 0 found within the search "
+    "budget; for dimension <= 4 such a matrix may not exist\n")
+
+
+@pytest.mark.parametrize("name, expected", [
+    pytest.param(
+        "aniso2",
+        "verdict: Indefinite\n"
+        "signature: 1 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: none (search budget exhausted)\n"
+        "witness lambda_plus: P = 2\n"
+        "2\n1 2 2\n"
+        "witness lambda_minus: P = -2\n"
+        "2\n",
+        id="diag(1,-2)"),
+    pytest.param(
+        "aniso4",
+        "verdict: Indefinite\n"
+        "signature: 2 2 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: none (search budget exhausted)\n"
+        "witness lambda_plus: P = 9\n"
+        "4\n"
+        "witness lambda_minus: P = -3\n"
+        "4\n2 3 2\n",
+        id="diag(1,1,-3,-3)"),
+])
+def test_exhausted_zero_search(files, capsys, name, expected):
+    # classify still prints the exact verdict and strict-sign witnesses
+    assert run(capsys, ["classify", files[name]]) == (0, expected, "")
+    # witness refuses: nothing on stdout, one error line, exit 1
+    assert run(capsys, ["witness", files[name]]) == (1, "", _EXHAUSTED_ERR)
+
+
+def test_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert ("exit codes: 0 success; 1 selftest failure, or witness found no "
+            "rational zero within its search budget; 2 input error; "
+            "3 dimension cap exceeded.") in out
 
 
 def test_certify(files, capsys):

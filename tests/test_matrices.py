@@ -1,6 +1,7 @@
 """Tests for exact matrices, congruence transforms and diagonalization."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from generators import (
     random_singular,
     random_symmetric,
     random_zero_diagonal,
+    scrambled_positive_definite,
 )
 from oracles import lagrange_reference, signature_by_charpoly
 from skewchar import (
@@ -130,6 +132,18 @@ def test_lagrange_matches_reference(n):
     for a in forms:
         s, d = lagrange_diagonalize(a)
         assert (s.rows, d.rows) == lagrange_reference(a)
+        assert s.det == det_rational(s.rows)
+
+
+def test_lagrange_diagonalize_n30_is_fast():
+    # S is unimodular by construction: no determinant of S is computed.
+    a = scrambled_positive_definite(random.Random(3030), 30)
+    start = time.perf_counter()
+    s, d = lagrange_diagonalize(a)
+    elapsed = time.perf_counter() - start
+    assert s.det in (1, -1)
+    assert all(x > 0 for x in d.diagonal_entries())
+    assert elapsed < 0.5, f"lagrange_diagonalize at n=30 took {elapsed:.2f}s"
 
 
 def test_signature_examples():
