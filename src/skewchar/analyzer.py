@@ -50,15 +50,17 @@ class NotIndefinite(ValueError):
     """Witness construction applies only to nondegenerate mixed-signature forms."""
 
 
-_EXHAUSTED = ("no rational skew matrix with det(A - L) = 0 found within the "
-              "search budget; for dimension <= 4 such a matrix may not exist")
-
-
 class WitnessSearchExhausted(RuntimeError):
-    """No exact rational zero of det(A - L) was found within the search budget."""
+    """No exact rational zero of det(A - L) was found within the search budget.
 
-    def __init__(self, message: str = _EXHAUSTED) -> None:
-        super().__init__(message)
+    `witness` carries the exact strict-sign witnesses, with lambda_zero None.
+    """
+
+    def __init__(self, witness: Witness) -> None:
+        super().__init__(
+            "no rational skew matrix with det(A - L) = 0 found within the "
+            "search budget; for dimension <= 4 such a matrix may not exist")
+        self.witness = witness
 
 
 class Verdict(str, Enum):
@@ -310,8 +312,20 @@ def _kernel_skew(a: SymmetricMatrix, x: Sequence[Fraction]) -> SkewMatrix:
 # -- public operations ---------------------------------------------------------
 
 
-def _indefinite_witness(a: SymmetricMatrix) -> Witness:
-    """witness_indefinite, but with lambda_zero None when the search is exhausted."""
+def witness_indefinite(a: SymmetricMatrix) -> Witness:
+    """Exact zero / positive / negative witnesses for an indefinite form.
+
+    The strict-sign witnesses come from a single coupling entry t between
+    the last positive and the first negative direction of S^T A S = D, with
+    columns reordered so positive entries come first.  Mapped back to the
+    original basis it is S^-T T S^-1, and S^-T = A S D^-1 (D is invertible
+    here), so it equals t / (d_u d_v) ((Au)(Av)^T - (Av)(Au)^T) for the
+    columns u, v of S that carry those directions: no inverse is needed.
+    The zero witness comes from a rational isotropic vector.  Raises
+    WitnessSearchExhausted, carrying the strict-sign witnesses, when no
+    isotropic vector is found within the search budget (for n <= 4 none may
+    exist).
+    """
     sig = signature(a)
     if sig.zero or sig.positive == 0 or sig.negative == 0:
         raise NotIndefinite(f"signature {tuple(sig)} is not mixed nondegenerate")
@@ -323,14 +337,6 @@ def _indefinite_witness(a: SymmetricMatrix) -> Witness:
     s2 = [[row[k] for k in order] for row in s.rows]
     diag2 = [diag[i] for i in order]
     m = sig.positive
-
-    x = _isotropic_vector(a, s2, diag2, m)
-    lam_zero = value_zero = None
-    if x is not None:
-        lam_zero = _kernel_skew(a, x)
-        value_zero = eval_skewchar(a, lam_zero)
-        if value_zero != 0:
-            raise RuntimeError("zero witness failed to annihilate the determinant")
 
     # Bracket the coupling strength between the last positive and first
     # negative direction: t = 0 gives sign(det A), any t with
@@ -347,36 +353,18 @@ def _indefinite_witness(a: SymmetricMatrix) -> Witness:
         raise RuntimeError("bracketing witnesses did not produce both strict signs")
 
     if value_a > 0:
-        plus, value_plus, minus, value_minus = lam_a, value_a, lam_b, value_b
+        signs = (lam_a, value_a, lam_b, value_b)
     else:
-        plus, value_plus, minus, value_minus = lam_b, value_b, lam_a, value_a
-    return Witness(
-        lambda_zero=lam_zero,
-        value_zero=value_zero,
-        lambda_plus=plus,
-        value_plus=value_plus,
-        lambda_minus=minus,
-        value_minus=value_minus,
-    )
+        signs = (lam_b, value_b, lam_a, value_a)
 
-
-def witness_indefinite(a: SymmetricMatrix) -> Witness:
-    """Exact zero / positive / negative witnesses for an indefinite form.
-
-    The strict-sign witnesses come from a single coupling entry t between
-    the last positive and the first negative direction of S^T A S = D, with
-    columns reordered so positive entries come first.  Mapped back to the
-    original basis it is S^-T T S^-1, and S^-T = A S D^-1 (D is invertible
-    here), so it equals t / (d_u d_v) ((Au)(Av)^T - (Av)(Au)^T) for the
-    columns u, v of S that carry those directions: no inverse is needed.
-    The zero witness comes from a rational isotropic vector.  Raises
-    WitnessSearchExhausted when no isotropic vector is found within the
-    search budget (for n <= 4 none may exist).
-    """
-    witness = _indefinite_witness(a)
-    if witness.lambda_zero is None:
-        raise WitnessSearchExhausted()
-    return witness
+    x = _isotropic_vector(a, s2, diag2, m)
+    if x is None:
+        raise WitnessSearchExhausted(Witness(None, None, *signs))
+    lam_zero = _kernel_skew(a, x)
+    value_zero = eval_skewchar(a, lam_zero)
+    if value_zero != 0:
+        raise RuntimeError("zero witness failed to annihilate the determinant")
+    return Witness(lam_zero, value_zero, *signs)
 
 
 def classify(a: SymmetricMatrix) -> ClassificationReport:
@@ -403,9 +391,12 @@ def classify(a: SymmetricMatrix) -> ClassificationReport:
         predicted = (PredictedSign.ALWAYS_POSITIVE if n % 2 == 0
                      else PredictedSign.ALWAYS_NEGATIVE)
         return ClassificationReport(Verdict.NEGATIVE_DEFINITE, sig, predicted)
+    try:
+        witness = witness_indefinite(a)
+    except WitnessSearchExhausted as exc:
+        witness = exc.witness
     return ClassificationReport(
-        Verdict.INDEFINITE, sig, PredictedSign.NOT_SIGN_DEFINITE,
-        _indefinite_witness(a))
+        Verdict.INDEFINITE, sig, PredictedSign.NOT_SIGN_DEFINITE, witness)
 
 
 def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,

@@ -72,7 +72,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             f"form is {report.verdict.value}: det(A - L) is sign-definite, "
             "no sign-change witness exists")
     if report.witness.lambda_zero is None:
-        raise WitnessSearchExhausted()
+        raise WitnessSearchExhausted(report.witness)
     print(report.to_text(), end="")
     return 0
 

@@ -65,11 +65,7 @@ def crosscheck_classification(a: SymmetricMatrix, trials: int = 200,
     w = report.witness
     if w is None:
         return False
-    if w.lambda_zero is None:
-        # only an indefinite form's search may end without a zero witness
-        if report.verdict is not Verdict.INDEFINITE:
-            return False
-    elif eval_skewchar(a, w.lambda_zero) != 0:
+    if w.lambda_zero is not None and eval_skewchar(a, w.lambda_zero) != 0:
         return False
     if report.verdict is Verdict.INDEFINITE:
         if w.lambda_plus is None or w.lambda_minus is None:
