@@ -38,9 +38,10 @@ from .matrices import (
     SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
+    _random_entries,
+    _scaled_det,
     congruence_sym,
     lagrange_diagonalize,
-    random_skew,
     signature,
 )
 from .polynomials import Var
@@ -401,12 +402,17 @@ def classify(a: SymmetricMatrix) -> ClassificationReport:
 
 def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,
                bound: int = 10) -> ProbeReport:
-    """Tally the exact signs of det(A - L) over seeded random skew matrices."""
+    """Tally the exact signs of det(A - L) over seeded random skew matrices.
+
+    Trial k draws L as random_skew(a.n, seed + k, bound) does, but hands the
+    integer draws straight to the determinant kernel: a trial builds no
+    Fraction, Var or SkewMatrix.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     positives = negatives = zeros = 0
     for k in range(1, trials + 1):
-        value = eval_skewchar(a, random_skew(a.n, seed + k, bound))
+        value = _scaled_det(a.rows, _random_entries(a.n, seed + k, bound))
         if value > 0:
             positives += 1
         elif value < 0:

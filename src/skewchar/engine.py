@@ -25,7 +25,7 @@ from .matrices import (
     SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
-    det_rational,
+    _scaled_det,
     lagrange_diagonalize,
     random_skew,
 )
@@ -50,17 +50,16 @@ class NotPositiveDefinite(ValueError):
     """Certificates exist only for positive definite forms."""
 
 
-def _difference_rows(a: SymmetricMatrix, l: SkewMatrix):
+def eval_skewchar(a: SymmetricMatrix, l: SkewMatrix) -> Fraction:
+    """Exact value det(A - L) at a concrete skew matrix.
+
+    A's rows and L's upper-triangle numerators and denominators go straight
+    to the integer determinant kernel; no Fraction is built per entry.
+    """
     if a.n != l.n:
         raise DimensionMismatch(f"form has n={a.n}, skew matrix has n={l.n}")
-    return [
-        [a.entry(i, j) - l.entry(i, j) for j in range(a.n)] for i in range(a.n)
-    ]
-
-
-def eval_skewchar(a: SymmetricMatrix, l: SkewMatrix) -> Fraction:
-    """Exact value det(A - L) at a concrete skew matrix."""
-    return det_rational(_difference_rows(a, l))
+    return _scaled_det(a.rows, [(v.i - 1, v.j - 1, c.numerator, c.denominator)
+                                for v, c in l.upper.items()])
 
 
 def _pfaffian_rec(entry, indices: tuple, zero, one):

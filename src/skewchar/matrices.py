@@ -1,12 +1,15 @@
 """Exact symmetric, skew-symmetric and transition matrices over the rationals.
 
-Everything here is immutable after construction and all arithmetic is exact:
-determinants run through fraction-free integer elimination after clearing
-denominators row by row.  Congruence diagonalization never introduces square
-roots: one routine, _congruence_pivots, runs symmetric fraction-free
-elimination on c*A (c the lcm of all denominators) and yields the exact
-diagonal and the basis changes.  signature() reads only the signs of that
-diagonal; lagrange_diagonalize() alone builds the transition matrix S.
+Everything here is immutable after construction and all arithmetic is exact.
+Every rational determinant, det_rational and det(A - L) in engine and
+analyzer alike, goes through one kernel, _scaled_det: it scales each row to
+integers by the lcm of that row's denominators, working on int numerators
+and denominators, and runs fraction-free (Bareiss) elimination.  Congruence
+diagonalization never introduces square roots: one routine,
+_congruence_pivots, runs symmetric fraction-free elimination on c*A (c the
+lcm of all denominators) and yields the exact diagonal and the basis
+changes.  signature() reads only the signs of that diagonal;
+lagrange_diagonalize() alone builds the transition matrix S.
 """
 
 from __future__ import annotations
@@ -77,21 +80,37 @@ def _int_bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_rational(rows: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Exact determinant of a square matrix of rationals.
+def _scaled_det(rows: Sequence[Sequence[Fraction]], upper: Iterable[tuple]) -> Fraction:
+    """Exact det(R - L) for Fraction rows R and a skew L given by its entries.
 
-    Each row is scaled by the lcm of its denominators, the integer matrix is
-    run through Bareiss elimination, and the scale is divided back out.
+    L is a list of (i, j, p, q) tuples, 0-based with i < j: l_ij = p/q and
+    l_ji = -p/q.  Row i of R - L is scaled by c_i, the lcm of the
+    denominators of row i of R and of every q in row i of L, which makes it
+    an integer row built from Python int numerators and denominators alone.
+    The integer matrix goes through Bareiss elimination, and the result is
+    det / prod(c_i).
     """
-    frows = _fraction_rows(rows)
-    n = _check_square(frows)
+    in_row: list[list[tuple]] = [[] for _ in rows]
+    for i, j, p, q in upper:
+        in_row[i].append((j, p, q))
+        in_row[j].append((i, -p, q))
     scale = 1
     int_rows: list[list[int]] = []
-    for row in frows:
-        m = math.lcm(*(x.denominator for x in row))
-        scale *= m
-        int_rows.append([int(x * m) for x in row])
+    for row, entries in zip(rows, in_row):
+        c = math.lcm(*(x.denominator for x in row), *(q for _, _, q in entries))
+        ints = [x.numerator * (c // x.denominator) for x in row]
+        for k, p, q in entries:
+            ints[k] -= p * (c // q)
+        scale *= c
+        int_rows.append(ints)
     return Fraction(_int_bareiss_det(int_rows), scale)
+
+
+def det_rational(rows: Sequence[Sequence[Scalar]]) -> Fraction:
+    """Exact determinant of a square matrix of rationals: _scaled_det with L = 0."""
+    frows = _fraction_rows(rows)
+    _check_square(frows)
+    return _scaled_det(frows, ())
 
 
 class Signature(NamedTuple):
@@ -461,18 +480,30 @@ def signature(a: SymmetricMatrix) -> Signature:
     return Signature(pos, neg, a.n - pos - neg)
 
 
-def random_skew(n: int, seed: int, bound: int = 10) -> SkewMatrix:
-    """Deterministic random skew matrix: each entry p/q with |p| <= bound, 1 <= q <= bound."""
+def _random_entries(n: int, seed: int, bound: int) -> list[tuple[int, int, int, int]]:
+    """The draws of random_skew as (i, j, p, q) tuples, 0-based, zero p dropped.
+
+    p = randint(-bound, bound) is drawn before q = randint(1, bound), entry by
+    entry in row-major order of the strict upper triangle.
+    """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     rng = random.Random(seed)
-    upper: dict[Var, Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            value = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-            if value:
-                upper[Var(i, j)] = value
-    return SkewMatrix(n, upper)
+    draws = [
+        (i, j, rng.randint(-bound, bound), rng.randint(1, bound))
+        for i in range(n) for j in range(i + 1, n)
+    ]
+    return [entry for entry in draws if entry[2]]
+
+
+def random_skew(n: int, seed: int, bound: int = 10) -> SkewMatrix:
+    """Deterministic random skew matrix: each entry p/q with |p| <= bound, 1 <= q <= bound.
+
+    The draws come from _random_entries, which sign_probe hands to the
+    determinant kernel directly without building this matrix.
+    """
+    return SkewMatrix(n, {Var(i + 1, j + 1): Fraction(p, q)
+                          for i, j, p, q in _random_entries(n, seed, bound)})
 
 
 # -- text format helpers ------------------------------------------------------

@@ -11,11 +11,14 @@ from generators import (
     random_invertible,
     random_positive_definite,
     random_singular,
+    random_symmetric,
     scrambled_positive_definite,
 )
+from oracles import cofactor_det
 from skewchar import (
     NotIndefinite,
     PredictedSign,
+    ProbeReport,
     Signature,
     SkewMatrix,
     SymmetricMatrix,
@@ -25,6 +28,7 @@ from skewchar import (
     classify,
     congruence_sym,
     eval_skewchar,
+    random_skew,
     sign_probe,
     witness_indefinite,
 )
@@ -311,6 +315,49 @@ def test_sign_probe_determinism_and_validation():
     assert sign_probe(a, trials=50, seed=9) == sign_probe(a, trials=50, seed=9)
     with pytest.raises(ValueError):
         sign_probe(a, trials=0)
+    with pytest.raises(ValueError, match="bound must be at least 1"):
+        sign_probe(a, trials=5, bound=0)
+    # trials is checked before any draw, so bound=0 is never reached.
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        sign_probe(a, trials=0, bound=0)
+
+
+def oracle_probe(a: SymmetricMatrix, trials: int, seed: int, bound: int) -> ProbeReport:
+    """Tallies of det(A - L) by cofactor expansion over random_skew draws."""
+    signs = []
+    for k in range(1, trials + 1):
+        l = random_skew(a.n, seed + k, bound)
+        rows = [[a.entry(i, j) - l.entry(i, j) for j in range(a.n)] for i in range(a.n)]
+        signs.append(cofactor_det(rows))
+    return ProbeReport(sum(v > 0 for v in signs), sum(v < 0 for v in signs),
+                       sum(v == 0 for v in signs))
+
+
+def test_sign_probe_tallies_zeros_golden():
+    # P(L) = l1_2^2 - 1 with l1_2 in {-1, 0, 1}: zero at +-1, negative at 0.
+    a = SymmetricMatrix([[0, 1], [1, 0]])
+    assert sign_probe(a, trials=40, seed=0, bound=1) == ProbeReport(0, 10, 30)
+    assert sign_probe(a, trials=40, seed=7, bound=1) == ProbeReport(0, 13, 27)
+    assert oracle_probe(a, 40, 7, 1) == ProbeReport(0, 13, 27)
+
+
+def test_sign_probe_degenerate_golden():
+    a = SymmetricMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+    assert sign_probe(a, trials=40, seed=3) == ProbeReport(39, 0, 1)
+    assert sign_probe(a, trials=40, seed=3, bound=2) == ProbeReport(31, 0, 9)
+    b = SymmetricMatrix.diagonal([1, -1, 0])
+    assert sign_probe(b, trials=40, seed=11, bound=2) == ProbeReport(15, 12, 13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sign_probe_matches_cofactor_oracle(n):
+    rng = random.Random(7400 + n)
+    forms = [random_symmetric(rng, n, 2), SymmetricMatrix.diagonal([1, -1, 0, 2, -2, 0][:n])]
+    for a in forms:
+        for bound in (1, 3):
+            seed = rng.randint(0, 10**6)
+            assert sign_probe(a, trials=12, seed=seed, bound=bound) == \
+                oracle_probe(a, 12, seed, bound)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

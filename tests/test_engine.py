@@ -12,6 +12,7 @@ from generators import (
     random_singular,
     random_skew_assignment,
     random_symmetric,
+    random_zero_diagonal,
 )
 from oracles import cofactor_det, symbolic_difference
 from skewchar import (
@@ -128,6 +129,69 @@ def test_eval_indefinite_zero_crossing():
 def test_eval_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         eval_skewchar(SymmetricMatrix.identity(2), SkewMatrix.zero(3))
+
+
+def cofactor_eval(a: SymmetricMatrix, l: SkewMatrix) -> Fraction:
+    """det(A - L) by cofactor expansion of Fraction rows assembled here."""
+    rows = [list(row) for row in a.rows]
+    for v, c in l.upper.items():
+        rows[v.i - 1][v.j - 1] -= c
+        rows[v.j - 1][v.i - 1] += c
+    return cofactor_det(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_eval_matches_cofactor_oracle(n):
+    # n = 1 included: a 1x1 form has no skew entries and det(A - L) = a_11.
+    rng = random.Random(7100 + n)
+    forms = [random_symmetric(rng, n), random_zero_diagonal(rng, n)]
+    if n >= 2:
+        forms.append(random_singular(rng, n))
+    for a in forms:
+        skews = [SkewMatrix.zero(n), random_skew_assignment(rng, n),
+                 random_skew(n, rng.randint(0, 10**6), 10)]
+        for l in skews:
+            assert eval_skewchar(a, l) == cofactor_eval(a, l)
+
+
+def test_eval_when_l_cancels_the_row_denominators():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    a = SymmetricMatrix([[1, third, half], [third, 1, 0], [half, 0, 1]])
+    l = SkewMatrix(3, {Var(1, 2): third, Var(1, 3): half})
+    # Row 1 of A - L is (1, 0, 0); rows 2 and 3 are (2/3, 1, 0) and (1, 0, 1).
+    assert eval_skewchar(a, l) == cofactor_eval(a, l) == 1
+    a2 = SymmetricMatrix([[2, third], [third, 5]])
+    l2 = SkewMatrix(2, {Var(1, 2): third})
+    assert eval_skewchar(a2, l2) == cofactor_eval(a2, l2) == 10
+
+
+def test_eval_with_coprime_large_denominators():
+    a = SymmetricMatrix([[Fraction(1, 97), Fraction(3, 101), 2],
+                         [Fraction(3, 101), Fraction(-5, 97), Fraction(1, 97)],
+                         [2, Fraction(1, 97), Fraction(7, 101)]])
+    l = SkewMatrix(3, {Var(1, 2): Fraction(2, 97), Var(1, 3): Fraction(-4, 101),
+                       Var(2, 3): Fraction(50, 9797)})
+    assert eval_skewchar(a, l) == cofactor_eval(a, l)
+
+
+def test_eval_with_dense_l_of_every_denominator():
+    # n = 5 has ten upper entries: l_ij = +-(k + 1)/k for k = 1 .. 10.
+    pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    l = SkewMatrix(5, {Var(i, j): Fraction((-1) ** k * (k + 1), k)
+                       for k, (i, j) in enumerate(pairs, start=1)})
+    assert sorted(c.denominator for c in l.upper.values()) == list(range(1, 11))
+    rng = random.Random(7200)
+    for a in (SymmetricMatrix.identity(5), random_symmetric(rng, 5),
+              random_zero_diagonal(rng, 5)):
+        assert eval_skewchar(a, l) == cofactor_eval(a, l)
+
+
+def test_eval_at_n30_is_invariant_under_negating_l():
+    # det(A - L) = det((A - L)^T) = det(A + L).
+    rng = random.Random(7300)
+    a = random_symmetric(rng, 30)
+    l = random_skew(30, 7301, 10)
+    assert eval_skewchar(a, l) == eval_skewchar(a, -l)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -220,14 +220,33 @@ def test_random_skew_range_contract():
 
 
 def test_random_skew_bound_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bound must be at least 1"):
         random_skew(3, 0, 0)
+    with pytest.raises(ValueError, match="bound must be at least 1"):
+        random_skew(3, 1, 0)
+
+
+def test_random_skew_draws_golden():
+    # Pins the draw order: p before q, row-major over the strict upper triangle.
+    assert random_skew(5, 12345, 10).to_text() == (
+        "5\n1 2 3\n1 3 -1/6\n1 4 -4/5\n1 5 8/7\n2 3 -5/6\n"
+        "2 4 -1\n2 5 -2/9\n3 4 10/3\n3 5 1\n4 5 -5/6\n")
+    assert random_skew(4, 0, 1).to_text() == "4\n1 3 -1\n1 4 1\n3 4 1\n"
+
+
+@pytest.mark.parametrize("rows", [[], [[1, 2]], [[1, 2], [3]], [[1], [2]]])
+def test_det_rational_rejects_empty_and_non_square(rows):
+    with pytest.raises(ValueError, match="square and nonempty"):
+        det_rational(rows)
 
 
 def test_det_rational_known_values():
     assert det_rational([[Fraction(1, 2), 1], [1, 4]]) == 1
     assert det_rational([[0, 1], [1, 0]]) == -1
     assert det_rational([[1]]) == 1
+    assert det_rational([[-7]]) == -7
+    assert det_rational([[2, 3], [4, 5]]) == -2
+    assert det_rational([[2, Fraction(1, 3)], [Fraction(1, 3), 5]]) == Fraction(89, 9)
 
 
 def test_symmetric_text_round_trip():
