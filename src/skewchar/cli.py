@@ -7,11 +7,17 @@ a header so runs can be reproduced exactly.
 Exit codes: 0 success, 1 selftest failure or a witness search that found no
 rational zero within its budget (classify then still prints its verdict and
 exits 0), 2 input error, 3 dimension cap exceeded.
+
+The argument parser is built once per process (build_parser is cached), so
+repeated in-process calls of main() neither rebuild it nor leave its
+reference cycles behind as garbage.  Matrix files are read by the
+from_text methods of matrices, which parse each distinct token once per file.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -105,6 +111,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewchar",

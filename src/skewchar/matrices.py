@@ -10,6 +10,11 @@ _congruence_pivots, runs symmetric fraction-free elimination on c*A (c the
 lcm of all denominators) and yields the exact diagonal and the basis
 changes.  signature() reads only the signs of that diagonal;
 lagrange_diagonalize() alone builds the transition matrix S.
+
+The text readers parse each distinct token once per file: a memo local to
+one from_text call maps a token to its Fraction, so equal tokens share one
+object and the symmetry check of a clean file is one tuple comparison that
+mostly compares objects by identity.
 """
 
 from __future__ import annotations
@@ -129,10 +134,10 @@ class SymmetricMatrix:
     def __init__(self, rows: Iterable[Iterable[Scalar]]) -> None:
         frows = _fraction_rows(rows)
         n = _check_square(frows)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if frows[i][j] != frows[j][i]:
-                    raise ValueError(f"not symmetric at ({i + 1}, {j + 1})")
+        if frows != tuple(zip(*frows)):
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if frows[i][j] != frows[j][i])
+            raise ValueError(f"not symmetric at ({i + 1}, {j + 1})")
         self.rows = frows
         self.n = n
 
@@ -182,6 +187,7 @@ class SymmetricMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "SymmetricMatrix":
+        """Read the symmetric file format; each distinct token is parsed once."""
         lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
         if not lines:
             raise MatrixParseError("empty matrix text")
@@ -189,11 +195,12 @@ class SymmetricMatrix:
         if len(lines) != n + 1:
             raise MatrixParseError(f"expected {n} rows, found {len(lines) - 1}")
         rows = []
+        memo: dict[str, Fraction] = {}
         for ln in lines[1:]:
             toks = ln.split()
             if len(toks) != n:
                 raise MatrixParseError(f"expected {n} entries per row, got {len(toks)}")
-            rows.append([_parse_fraction(t) for t in toks])
+            rows.append([_parse_fraction(t, memo) for t in toks])
         try:
             return cls(rows)
         except ValueError as exc:
@@ -277,17 +284,19 @@ class SkewMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "SkewMatrix":
+        """Read the skew file format; each distinct value token is parsed once."""
         lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
         if not lines:
             raise MatrixParseError("empty matrix text")
         n = _parse_dimension(lines[0])
         upper: dict[Var, Fraction] = {}
+        memo: dict[str, Fraction] = {}
         for ln in lines[1:]:
             toks = ln.split()
             if len(toks) != 3:
                 raise MatrixParseError(f"expected 'i j value', got {ln!r}")
             try:
-                i, j = int(toks[0]), int(toks[1])
+                i, j = _digits(toks[0]), _digits(toks[1])
             except ValueError as exc:
                 raise MatrixParseError(f"bad indices in {ln!r}") from exc
             if not (1 <= i < j <= n):
@@ -295,7 +304,7 @@ class SkewMatrix:
             var = Var(i, j)
             if var in upper:
                 raise MatrixParseError(f"duplicate entry for {var}")
-            upper[var] = _parse_fraction(toks[2])
+            upper[var] = _parse_fraction(toks[2], memo)
         return cls(n, upper)
 
 
@@ -508,18 +517,32 @@ def random_skew(n: int, seed: int, bound: int = 10) -> SkewMatrix:
 
 # -- text format helpers ------------------------------------------------------
 
-_FRACTION_RE = r"[+-]?\d+(?:/[1-9]\d*)?"
+_FRACTION_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+_DIGITS_RE = re.compile(r"\d+")
 
 
-def _parse_fraction(token: str) -> Fraction:
-    if not re.fullmatch(_FRACTION_RE, token):
-        raise MatrixParseError(f"bad rational literal {token!r}")
-    return Fraction(token)
+def _parse_fraction(token: str, memo: dict[str, Fraction]) -> Fraction:
+    """The value of a rational token p or p/q, parsed once per memo."""
+    value = memo.get(token)
+    if value is None:
+        m = _FRACTION_RE.fullmatch(token)
+        if m is None:
+            raise MatrixParseError(f"bad rational literal {token!r}")
+        p, q = m.groups()
+        value = memo[token] = Fraction(int(p), int(q or 1))
+    return value
+
+
+def _digits(token: str) -> int:
+    """int(token) for a token of digits only: no sign, no '_', no spaces."""
+    if not _DIGITS_RE.fullmatch(token):
+        raise ValueError(f"not a digit string: {token!r}")
+    return int(token)
 
 
 def _parse_dimension(token: str) -> int:
     try:
-        n = int(token)
+        n = _digits(token)
     except ValueError as exc:
         raise MatrixParseError(f"bad dimension line {token!r}") from exc
     if n < 1:

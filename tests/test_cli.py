@@ -1,8 +1,11 @@
 """End-to-end tests of the command line surface."""
 
+import gc
+import sys
+
 import pytest
 
-from skewchar.cli import main
+from skewchar.cli import build_parser, main
 
 
 @pytest.fixture
@@ -204,6 +207,52 @@ def test_byte_identical_reruns(files, capsys):
         first = run(capsys, argv)
         second = run(capsys, argv)
         assert first == second
+
+
+def test_main_leaves_no_cyclic_garbage(files, capsys):
+    assert build_parser() is build_parser()  # built once per process
+    calls = [
+        ["expand", files["id3"]],
+        ["eval", files["id3"], files["skew3"]],
+        ["classify", files["indef2"]],
+        ["witness", files["indef2"]],
+        ["certify", files["id2"]],
+        ["probe", files["id2"], "--trials", "5"],
+    ]
+    for argv in calls:
+        assert run(capsys, argv)[0] == 0  # warm: first call may build caches
+    for argv in calls:
+        gc.collect()
+        assert run(capsys, argv)[0] == 0
+        assert gc.collect() == 0, argv[0]
+
+
+_HUGE = "7" * 5000  # past the default int string-length limit of 4300 digits
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int string-length limit")
+@pytest.mark.parametrize("argv_text", [
+    ("classify", f"1\n{_HUGE}\n"),
+    ("classify", f"1\n1/{_HUGE}\n"),
+    ("classify", f"{_HUGE}\n1\n"),
+])
+def test_huge_literal_is_input_error(tmp_path, capsys, argv_text):
+    cmd, text = argv_text
+    path = tmp_path / "huge.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, [cmd, str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_huge_skew_index_is_input_error(files, tmp_path, capsys):
+    path = tmp_path / "huge_skew.txt"
+    path.write_text(f"3\n1 {_HUGE} 5\n", encoding="utf-8")
+    code, out, err = run(capsys, ["eval", files["id3"], str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_selftest_passes(capsys):

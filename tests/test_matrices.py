@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generators import (
     random_indefinite,
@@ -271,6 +273,9 @@ def test_skew_text_round_trip():
         "2\n1 2\n3 1",
         "2\n1 2 3\n",  # wrong row count for symmetric
         "2\n1 0.5\n0.5 1\n",  # floats are not rationals
+        pytest.param("1_0\n" + ("0 " * 10 + "\n") * 10, id="n=1_0"),  # digits only
+        "+2\n1 0\n0 1\n",
+        "-2\n1 0\n0 1\n",
     ],
 )
 def test_symmetric_parse_errors(text):
@@ -285,8 +290,98 @@ def test_symmetric_parse_errors(text):
         "2\n1 3 5\n",  # out of range
         "3\n1 2 1\n1 2 2\n",  # duplicate
         "3\n1 2\n",  # missing value
+        "3\n1 +2 5\n",  # i and j must be digits only
+        "12\n1_0 11 5\n",
+        "1_0\n1 2 3\n",
     ],
 )
 def test_skew_parse_errors(text):
     with pytest.raises(MatrixParseError):
         SkewMatrix.from_text(text)
+
+
+# -- grammar goldens: each pinned to the behaviour of the reader before the
+# memoized token parser replaced Fraction(str) ------------------------------
+
+
+@pytest.mark.parametrize("token, value", [
+    ("+3", Fraction(3)),
+    ("-0", Fraction(0)),
+    ("02/4", Fraction(1, 2)),
+    ("-6/4", Fraction(-3, 2)),
+    ("007", Fraction(7)),
+])
+def test_accepted_rational_literals(token, value):
+    assert SymmetricMatrix.from_text(f"1\n{token}\n").rows == ((value,),)
+    assert SkewMatrix.from_text(f"2\n1 2 {token}\n").entry(0, 1) == value
+
+
+@pytest.mark.parametrize("token", ["2/0", "1/01", "0.5", "1e3", "1_0", "--1", "1/-2",
+                                   "1/", "/2", "+", "0x1"])
+def test_rejected_rational_literals(token):
+    with pytest.raises(MatrixParseError, match="bad rational literal"):
+        SymmetricMatrix.from_text(f"1\n{token}\n")
+    with pytest.raises(MatrixParseError, match="bad rational literal"):
+        SkewMatrix.from_text(f"2\n1 2 {token}\n")
+
+
+def test_mirror_spelled_differently_is_symmetric():
+    a = SymmetricMatrix.from_text("2\n1 1/2\n2/4 1\n")
+    assert a == SymmetricMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
+    assert a.to_text() == "2\n1 1/2\n1/2 1\n"
+
+
+@pytest.mark.parametrize("rows, where", [
+    ([[1, 2, 3], [9, 1, 4], [3, 5, 1]], "(1, 2)"),
+    ([[1, 2, 3], [2, 1, 4], [3, 5, 1]], "(2, 3)"),
+    ([[1, 2, 3], [2, 1, 4], [7, 5, 1]], "(1, 3)"),
+    ([[1, 2, 0], [2, 1, 4], [7, 5, 1]], "(1, 3)"),
+])
+def test_asymmetry_names_first_pair_in_row_major_order(rows, where):
+    message = f"not symmetric at {where}"
+    with pytest.raises(ValueError) as exc:
+        SymmetricMatrix(rows)
+    assert str(exc.value) == message
+    text = f"{len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+    with pytest.raises(MatrixParseError) as exc:
+        SymmetricMatrix.from_text(text)
+    assert str(exc.value) == message
+
+
+def test_skew_zero_value_is_dropped():
+    assert SkewMatrix.from_text("2\n1 2 0\n") == SkewMatrix.zero(2)
+    assert SkewMatrix.from_text("3\n1 2 -0\n2 3 0/5\n").upper == {}
+
+
+_REPEATED = [Fraction(0), Fraction(1, 2), Fraction(-3), Fraction(-5, 3)]
+
+
+def _spell(x: Fraction, scale: int, plus: bool, zeros: int) -> str:
+    """One of the many spellings of x the grammar accepts."""
+    p, q = x.numerator * scale, x.denominator * scale
+    sign = "-" if p < 0 else ("+" if plus else "")
+    body = "0" * zeros + str(abs(p))
+    return f"{sign}{body}/{q}" if q != 1 else sign + body
+
+
+_spellings = st.tuples(st.integers(1, 3), st.booleans(), st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from(_REPEATED), min_size=n * n, max_size=n * n),
+    st.lists(_spellings, min_size=n * n, max_size=n * n))))
+def test_text_round_trip_with_repeated_entries(case):
+    n, values, spelled = case
+    rows = [[values[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    a = SymmetricMatrix(rows)
+    assert SymmetricMatrix.from_text(a.to_text()) == a
+    # each cell spelled its own way: mirrored entries still agree by value
+    cells = iter(spelled)
+    text = f"{n}\n" + "".join(
+        " ".join(_spell(x, *next(cells)) for x in row) + "\n" for row in rows)
+    assert SymmetricMatrix.from_text(text) == a
+    l = SkewMatrix(n, {Var(i + 1, j + 1): values[i * n + j]
+                       for i in range(n) for j in range(i + 1, n)})
+    assert SkewMatrix.from_text(l.to_text()) == l
