@@ -134,9 +134,7 @@ class ProbeReport:
 
 
 def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if value < 0:
-        return None
+    """Exact square root of a positive rational, or None if irrational."""
     rn = math.isqrt(value.numerator)
     rd = math.isqrt(value.denominator)
     if rn * rn == value.numerator and rd * rd == value.denominator:
@@ -153,8 +151,8 @@ def _matvec(rows, vec):
 def _pair_isotropic(diag: Sequence[Fraction], first_pair=None):
     """Isotropic vector supported on two diagonal directions, if one exists.
 
-    For an opposite-sign pair (i, j) the vector w*e_i + e_j is isotropic
-    exactly when w^2 = -d_j/d_i, i.e. when that ratio is a perfect square.
+    The d_i must be nonzero.  For an opposite-sign pair (i, j) the vector
+    w*e_i + e_j is isotropic exactly when w^2 = -d_j/d_i, a perfect square.
     """
     n = len(diag)
     pairs = []
@@ -167,7 +165,7 @@ def _pair_isotropic(diag: Sequence[Fraction], first_pair=None):
         if (i, j) != first_pair
     )
     for i, j in pairs:
-        if diag[i] == 0 or diag[j] == 0 or (diag[i] > 0) == (diag[j] > 0):
+        if (diag[i] > 0) == (diag[j] > 0):
             continue
         w = _rational_sqrt(-diag[j] / diag[i])
         if w is not None:
@@ -191,24 +189,15 @@ def _enumerate_isotropic(m: list[list[int]], bound: int):
 
     The last coordinate is solved exactly from the quadratic it satisfies, so
     the cost is (2*bound + 1)^(n-1) leaf solves.  Only the first nonzero
-    coordinate is restricted to be positive (sign symmetry).
+    coordinate is restricted to be positive (sign symmetry).  m[-1][-1] must
+    be nonzero: the caller enumerates on c*A only once no a_ii is zero.
     """
     n = len(m)
     last = n - 1
     a_nn = m[last][last]
     xs = [0] * last
 
-    def solve_leaf(lin: int, quad: int, any_nonzero: bool):
-        if a_nn == 0:
-            if lin == 0:
-                if quad == 0:
-                    return xs + [0] if any_nonzero else [0] * last + [1]
-                return None
-            num, den = -quad, 2 * lin
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-            sol = [v * den for v in xs] + [num]
-            return sol if any(sol) else None
+    def solve_leaf(lin: int, quad: int):
         disc = lin * lin - a_nn * quad
         if disc < 0:
             return None
@@ -217,7 +206,7 @@ def _enumerate_isotropic(m: list[list[int]], bound: int):
             return None
         for root in ((r, -r) if r else (0,)):
             num, den = -lin + root, a_nn
-            g = math.gcd(num, den) or 1
+            g = math.gcd(num, den)
             num, den = num // g, den // g
             sol = [v * den for v in xs] + [num]
             if any(sol):
@@ -226,7 +215,7 @@ def _enumerate_isotropic(m: list[list[int]], bound: int):
 
     def rec(idx: int, lin: int, quad: int, any_nonzero: bool):
         if idx == last:
-            return solve_leaf(lin, quad, any_nonzero)
+            return solve_leaf(lin, quad)
         lo = 0 if not any_nonzero else -bound
         row = m[idx]
         for v in range(lo, bound + 1):
@@ -248,7 +237,7 @@ def _enumerate_isotropic(m: list[list[int]], bound: int):
 
 def _isotropic_vector(a: SymmetricMatrix, s2: Sequence[Sequence[Fraction]],
                       diag2: Sequence[Fraction], m: int):
-    """A nonzero rational vector x with x^T A x = 0, or None if not found.
+    """A nonzero int or Fraction vector x with x^T A x = 0, or None if not found.
 
     Strategy: zero diagonal entries of A give one outright; then perfect
     square tests on opposite-sign pairs of the (permuted) diagonalization;
@@ -259,7 +248,7 @@ def _isotropic_vector(a: SymmetricMatrix, s2: Sequence[Sequence[Fraction]],
     n = a.n
     for i in range(n):
         if a.entry(i, i) == 0:
-            return tuple(Fraction(int(k == i)) for k in range(n))
+            return tuple(int(k == i) for k in range(n))
 
     y = _pair_isotropic(diag2, first_pair=(m - 1, m))
     if y is not None:
@@ -276,17 +265,17 @@ def _isotropic_vector(a: SymmetricMatrix, s2: Sequence[Sequence[Fraction]],
             return _matvec(p.rows, _matvec(s3.rows, y))
 
     scale = math.lcm(*(x.denominator for row in a.rows for x in row))
-    int_rows = [[int(x * scale) for x in row] for row in a.rows]
+    int_rows = [[x.numerator * (scale // x.denominator) for x in row] for row in a.rows]
     for bound in _enumeration_bounds(n):
         sol = _enumerate_isotropic(int_rows, bound)
         if sol is not None:
-            return tuple(Fraction(v) for v in sol)
+            return sol
     return None
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
+def _primitive(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
     scale = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
+    ints = [x.numerator * (scale // x.denominator) for x in vec]
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
 

@@ -94,13 +94,8 @@ def sub_pfaffian_poly(n: int, subset: Sequence[int]) -> MultiPoly:
         raise ValueError(f"subset {subset} out of range for dimension {n}")
     if any(subset[k] >= subset[k + 1] for k in range(len(subset) - 1)):
         raise ValueError(f"subset {subset} must be strictly increasing")
-
-    def entry(u: int, v: int) -> MultiPoly:
-        return MultiPoly.variable(Var(subset[u], subset[v]))
-
-    return _pfaffian_rec(
-        entry, tuple(range(len(subset))), MultiPoly.zero(), MultiPoly.constant(1)
-    )
+    return _pfaffian_rec(lambda u, v: MultiPoly.variable(Var(u, v)), subset,
+                         MultiPoly.zero(), MultiPoly.constant(1))
 
 
 @dataclass(frozen=True)
@@ -141,18 +136,15 @@ class Certificate:
 
 def _symbolic_congruence_skew(s: TransitionMatrix):
     """Entries of S^T L S with L fully symbolic: each (u, v) is linear in the l_kl."""
-    n = s.n
-    entries: dict[tuple[int, int], MultiPoly] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            acc = MultiPoly.zero()
-            for k in range(n):
-                for m in range(k + 1, n):
-                    coeff = s.entry(k, u) * s.entry(m, v) - s.entry(m, u) * s.entry(k, v)
-                    if coeff:
-                        acc = acc + MultiPoly.variable(Var(k + 1, m + 1)) * coeff
-            entries[(u, v)] = acc
-    return entries
+    n, rows = s.n, s.rows
+    pairs = [(k, m) for k in range(n) for m in range(k + 1, n)]
+    return {
+        (u, v): MultiPoly._raw({
+            ((Var(k + 1, m + 1), 1),): c for k, m in pairs
+            if (c := rows[k][u] * rows[m][v] - rows[m][u] * rows[k][v])
+        })
+        for u, v in pairs
+    }
 
 
 def _pfaffian_terms(s: TransitionMatrix, diag: Sequence[Fraction]) -> list:
@@ -164,6 +156,7 @@ def _pfaffian_terms(s: TransitionMatrix, diag: Sequence[Fraction]) -> list:
     """
     n = s.n
     tilde = _symbolic_congruence_skew(s)
+    entry = lambda u, v: tilde[(u, v)]  # noqa: E731
     zero, one = MultiPoly.zero(), MultiPoly.constant(1)
     terms = []
     for size in range(0, n + 1, 2):
@@ -172,9 +165,7 @@ def _pfaffian_terms(s: TransitionMatrix, diag: Sequence[Fraction]) -> list:
                           start=Fraction(1))
             if not weight:
                 continue
-            root = _pfaffian_rec(lambda u, v, sub=subset: tilde[(sub[u], sub[v])],
-                                 tuple(range(size)), zero, one)
-            terms.append((weight, root))
+            terms.append((weight, _pfaffian_rec(entry, subset, zero, one)))
     return terms
 
 

@@ -37,6 +37,8 @@ class Var:
     j: int
 
     def __post_init__(self) -> None:
+        if type(self.i) is not int or type(self.j) is not int:
+            raise TypeError(f"variable indices must be ints, got ({self.i!r}, {self.j!r})")
         if not (1 <= self.i < self.j):
             raise ValueError(f"variable indices need 1 <= i < j, got ({self.i}, {self.j})")
 
@@ -51,7 +53,7 @@ Monomial = tuple
 _ONE_MONO: Monomial = ()
 
 _VAR_RE = re.compile(r"^l(\d+)_(\d+)(?:\^(\d+))?$")
-_NUM_RE = re.compile(r"^\d+(?:/\d+)?$")
+_NUM_RE = re.compile(r"^\d+(?:/0*[1-9]\d*)?$")
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -102,7 +104,10 @@ class MultiPoly:
         acc: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
             coeff = _as_fraction(coeff)
-            mono = tuple(sorted((v, int(e)) for v, e in mono if e))
+            mono = tuple(mono)
+            if any(type(e) is not int for _, e in mono):
+                raise TypeError("monomial exponents must be ints")
+            mono = tuple(sorted((v, e) for v, e in mono if e))
             for v, e in mono:
                 if not isinstance(v, Var):
                     raise TypeError("monomial keys must be Var instances")

@@ -279,6 +279,58 @@ _WITNESS_GOLDENS = [
         "witness lambda_minus: P = -36\n"
         "4\n",
         id="enumeration_4"),
+    pytest.param(
+        [[-3, 0, -1], [0, 0, 3], [-1, 3, -3]],
+        "verdict: Indefinite\n"
+        "signature: 1 2 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "3\n2 3 -3\n"
+        "witness lambda_plus: P = 27\n"
+        "3\n"
+        "witness lambda_minus: P = -47/3\n"
+        "3\n1 2 -4\n2 3 4/3\n",
+        id="zero_diagonal_entry"),
+    pytest.param(
+        [[Fraction(3, 2), Fraction(-1, 3), Fraction(-1, 3)], [Fraction(-1, 3), 2, 0],
+         [Fraction(-1, 3), 0, -1]],
+        "verdict: Indefinite\n"
+        "signature: 2 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "3\n1 2 2/29\n1 3 -484/435\n2 3 -64/145\n"
+        "witness lambda_plus: P = 26/9\n"
+        "3\n2 3 2\n"
+        "witness lambda_minus: P = -28/9\n"
+        "3\n",
+        id="enumeration_3_rescaled"),
+    pytest.param(
+        [[26, 0, 0, 14], [0, 5, 0, 0], [0, 0, -2, 0], [14, 0, 0, 7]],
+        "verdict: Indefinite\n"
+        "signature: 2 2 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "4\n1 2 7/9\n1 4 2/9\n2 3 7/3\n2 4 10/9\n3 4 -2/3\n"
+        "witness lambda_plus: P = 140\n"
+        "4\n"
+        "witness lambda_minus: P = -84\n"
+        "4\n2 3 4\n",
+        id="enumeration_4_double_root"),
+    pytest.param(
+        [[-8, 0, -6, 0, 2], [0, -7, 0, 0, 0], [-6, 0, -6, 0, 0], [0, 0, 0, 1, 0],
+         [2, 0, 0, 0, 9]],
+        "verdict: Indefinite\n"
+        "signature: 2 3 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "5\n1 2 8/7\n1 3 -8/7\n1 4 -16/7\n1 5 8/7\n2 3 1/7\n2 4 16/7\n2 5 -16/7\n"
+        "3 4 -2\n3 5 15/7\n4 5 16/7\n"
+        "witness lambda_plus: P = 126\n"
+        "5\n1 5 -10\n3 5 -15/2\n"
+        "witness lambda_minus: P = -924\n"
+        "5\n",
+        id="enumeration_5"),
+
 ]
 
 
@@ -287,6 +339,9 @@ def test_witness_goldens_per_search_path(rows, text):
     # One form per path of the isotropic search: the first opposite-sign
     # pair of the diagonalization, a hit on the 1st and on the 3rd
     # coordinate permutation, and integer enumeration at n = 3 and n = 4.
+    # Then a zero a_22 (returned as e_2 before any diagonalization), and
+    # scrambled forms found by enumeration: a last coordinate rescaled by
+    # a_nn / gcd (-3 after scaling c = 6), a leaf with discriminant 0, and n = 5.
     report = classify(SymmetricMatrix(rows))
     assert report.to_text() == text
 

@@ -385,6 +385,35 @@ def test_certificate_serialization_golden():
         "weight: 6 ; sqroot: 1\n"
         "weight: 1 ; sqroot: l1_2\n"
     )
+    # A non-diagonal form with rational entries.
+    a = SymmetricMatrix([[Fraction(151, 6), -18, Fraction(41, 2), Fraction(-43, 6)],
+                         [-18, 18, -12, 0], [Fraction(41, 2), -12, 19, -7],
+                         [Fraction(-43, 6), 0, -7, Fraction(35, 3)]])
+    assert certify_positive(a).to_text() == (
+        "n: 4\n"
+        "scale: 1\n"
+        "weight: 243 ; sqroot: 1\n"
+        "weight: 81/43 ; sqroot: l1_2\n"
+        "weight: 125388/11929 ; sqroot: -67/129*l1_2 + l1_3\n"
+        "weight: 711/151 ; sqroot: 146/79*l1_2 - 129/79*l1_3 + l1_4\n"
+        "weight: 4077/79 ; sqroot: 123/151*l1_2 + 108/151*l1_3 + l2_3\n"
+        "weight: 11929/516 ; sqroot: -19264/11929*l1_2 - 13932/11929*l1_3"
+        " + 108/151*l1_4 - 129/79*l2_3 + l2_4\n"
+        "weight: 129 ; sqroot: -2/3*l1_2 - l1_3 - 51/43*l1_4 - l2_3 - 67/129*l2_4"
+        " + l3_4\n"
+        "weight: 1 ; sqroot: l1_2*l3_4 - l1_3*l2_4 + l1_4*l2_3\n"
+    )
+    # The expansion of a zero-diagonal form, whose diagonalization folds.
+    half = Fraction(1, 2)
+    a = SymmetricMatrix([[0, -1, 0, half], [-1, 0, half, -1], [0, half, 0, 1],
+                         [half, -1, 1, 0]])
+    assert str(expand_skewchar(a)) == (
+        "25/16 - l1_2^2 - 2*l1_2*l1_3 + l1_2*l1_4 - l1_2*l2_3 - 1/2*l1_2*l3_4"
+        " - l1_3^2 - l1_3*l1_4 - l1_3*l2_3 - 5/2*l1_3*l2_4 - 2*l1_3*l3_4"
+        " - 1/4*l1_4^2 - 2*l1_4*l2_3 - l1_4*l3_4 - 1/4*l2_3^2 + l2_3*l3_4"
+        " - l3_4^2 + l1_2^2*l3_4^2 - 2*l1_2*l1_3*l2_4*l3_4 + 2*l1_2*l1_4*l2_3*l3_4"
+        " + l1_3^2*l2_4^2 - 2*l1_3*l1_4*l2_3*l2_4 + l1_4^2*l2_3^2"
+    )
 
 
 def test_certificate_is_frozen_record():

@@ -27,6 +27,21 @@ def test_var_validation():
         Var(3, 1)
     with pytest.raises(ValueError):
         Var(0, 1)
+    # Indices are ints, not floats, bools or strings.
+    for i, j in ((1.5, 2), (1, 2.0), (True, 2), (1, True), ("1", 2)):
+        with pytest.raises(TypeError):
+            Var(i, j)
+
+
+def test_monomial_exponents_must_be_nonnegative_ints():
+    # Refused, not truncated: 0.5 must not become a stored zero exponent.
+    for e in (1.5, 0.5, 2.0, True):
+        with pytest.raises(TypeError):
+            MultiPoly({((Var(1, 2), e),): 1})
+    with pytest.raises(ValueError):
+        MultiPoly({((Var(1, 2), -1),): 1})
+    assert MultiPoly({((Var(1, 2), 0),): 1}) == ONE
+    assert MultiPoly({((Var(1, 2), 2),): 1}) == lam(1, 2) ** 2
 
 
 def test_add_cancellation():
@@ -115,7 +130,8 @@ def test_parse_round_trip_examples():
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "l2_1", "1 +", "x + 1", "l1_2^0", "1,5*l1_2"):
+    for text in ("", "l2_1", "1 +", "x + 1", "l1_2^0", "1,5*l1_2", "1/0",
+                 "l1_2 + 3/0", "1/00"):
         with pytest.raises(PolyParseError):
             MultiPoly.parse(text)
 
