@@ -249,6 +249,9 @@ class MultiPoly:
         return self._terms == q._terms
 
     def __hash__(self) -> int:
+        # A constant equals its coefficient, so it must hash like it too.
+        if self._terms.keys() <= {_ONE_MONO}:
+            return hash(self.constant_term())
         return hash(frozenset(self._terms.items()))
 
     # -- evaluation ----------------------------------------------------------

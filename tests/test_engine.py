@@ -1,6 +1,7 @@
 """Tests for symbolic expansion, evaluation, Pfaffians and certificates."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,11 +31,13 @@ from skewchar import (
     det_rational,
     eval_skewchar,
     expand_skewchar,
+    lagrange_diagonalize,
     lam,
     pfaffian,
     random_skew,
     sub_pfaffian_poly,
 )
+from skewchar.engine import _packed_pfaffians, _unpack
 from skewchar.selftest import covariance_check
 
 ONE = MultiPoly.constant(1)
@@ -106,6 +109,39 @@ def test_expand_per_variable_degree_bound():
         for mono, _ in p.terms():
             for _, exponent in mono:
                 assert exponent <= 2
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_packed_roots_are_multilinear(n):
+    # Every root is a signed sum of perfect matchings, so each 2-bit exponent
+    # field of the kernel holds at most 1 and a square at most 2: no carry.
+    a = random_symmetric(random.Random(800 + n), n)
+    s, d = lagrange_diagonalize(a)
+    terms, _ = _packed_pfaffians(s, d.diagonal_entries())
+    assert len(terms) == 2 ** (n - 1)
+    for _, size, root in terms:
+        assert root
+        for mono, _ in _unpack(n, root, 1).terms():
+            assert all(e == 1 for _, e in mono)
+            assert len(mono) == size // 2
+
+
+def test_expand_n7_agrees_with_eval():
+    rng = random.Random(807)
+    a = random_symmetric(rng, 7)
+    p = expand_skewchar(a)
+    for _ in range(4):
+        l = random_skew_assignment(rng, 7)
+        assert poly_at_skew(p, l) == eval_skewchar(a, l)
+
+
+def test_expand_n7_is_fast():
+    a = random_symmetric(random.Random(817), 7)
+    start = time.perf_counter()
+    p = expand_skewchar(a)
+    elapsed = time.perf_counter() - start
+    assert len(p) > 1000
+    assert elapsed < 1.0, f"expand_skewchar at n=7 took {elapsed:.2f}s"
 
 
 # -- evaluation ------------------------------------------------------------------

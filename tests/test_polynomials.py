@@ -44,6 +44,15 @@ def test_monomial_exponents_must_be_nonnegative_ints():
     assert MultiPoly({((Var(1, 2), 2),): 1}) == lam(1, 2) ** 2
 
 
+@pytest.mark.parametrize("value", [3, Fraction(-5, 7), 0])
+def test_constant_hashes_like_its_coefficient(value):
+    # constant(0) is the zero polynomial.
+    p = MultiPoly.constant(value)
+    assert p == value and hash(p) == hash(value)
+    assert {value: "x"}.get(p) == "x"
+    assert {p: "x"}.get(value) == "x"
+
+
 def test_add_cancellation():
     assert (ONE + lam(1, 2)) + (-lam(1, 2)) == ONE
 
