@@ -316,17 +316,16 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     isotropic vector is found within the search budget (for n <= 4 none may
     exist).
     """
-    sig = signature(a)
-    if sig.zero or sig.positive == 0 or sig.negative == 0:
-        raise NotIndefinite(f"signature {tuple(sig)} is not mixed nondegenerate")
-
     s, d = lagrange_diagonalize(a)
     diag = d.diagonal_entries()
     n = a.n
     order = [i for i in range(n) if diag[i] > 0] + [i for i in range(n) if diag[i] < 0]
+    m = sum(x > 0 for x in diag)
+    if not 0 < m < len(order) == n:
+        sig = (m, len(order) - m, n - len(order))
+        raise NotIndefinite(f"signature {sig} is not mixed nondegenerate")
     s2 = [[row[k] for k in order] for row in s.rows]
     diag2 = [diag[i] for i in order]
-    m = sig.positive
 
     # Bracket the coupling strength between the last positive and first
     # negative direction: t = 0 gives sign(det A), any t with

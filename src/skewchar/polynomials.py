@@ -273,17 +273,12 @@ class MultiPoly:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        order = {v: k for k, v in enumerate(self.variables())}
-        nvars = len(order)
-
-        def print_key(mono: Monomial):
-            dense = [0] * nvars
-            for v, e in mono:
-                dense[order[v]] = e
-            return (mono_degree(mono), tuple(-e for e in dense))
-
+        # By degree, then larger exponents of earlier variables first.  The
+        # factor lists compare like dense exponent vectors because, within one
+        # degree, no monomial's factor list is a proper prefix of another's.
         pieces: list[str] = []
-        for mono in sorted(self._terms, key=print_key):
+        for mono in sorted(self._terms, key=lambda m: (
+                mono_degree(m), [(v.i, v.j, -e) for v, e in m])):
             coeff = self._terms[mono]
             mag = abs(coeff)
             factors = [str(v) if e == 1 else f"{v}^{e}" for v, e in mono]

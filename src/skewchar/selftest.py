@@ -33,6 +33,12 @@ from .matrices import (
 from .polynomials import MultiPoly, lam
 
 
+def _require(ok: bool) -> None:
+    """Fail the running check; unlike assert, this is not stripped by python -O."""
+    if not ok:
+        raise AssertionError("check failed")
+
+
 def covariance_check(
     a: SymmetricMatrix, l: SkewMatrix, s: TransitionMatrix
 ) -> tuple[Fraction, Fraction]:
@@ -104,15 +110,15 @@ def _random_invertible(rng: random.Random, n: int) -> TransitionMatrix:
 
 def check_golden_expansions() -> None:
     for n in (2, 3, 4):
-        assert expand_skewchar(SymmetricMatrix.identity(n)) == _golden_identity_poly(n)
-    assert str(expand_skewchar(SymmetricMatrix.identity(2))) == "1 + l1_2^2"
+        _require(expand_skewchar(SymmetricMatrix.identity(n)) == _golden_identity_poly(n))
+    _require(str(expand_skewchar(SymmetricMatrix.identity(2))) == "1 + l1_2^2")
 
 
 def check_general_2x2() -> None:
     rng = random.Random(101)
     for _ in range(10):
         a = _random_symmetric(rng, 2)
-        assert expand_skewchar(a) == MultiPoly.constant(a.det()) + lam(1, 2) ** 2
+        _require(expand_skewchar(a) == MultiPoly.constant(a.det()) + lam(1, 2) ** 2)
 
 
 def check_covariance_law() -> None:
@@ -123,7 +129,7 @@ def check_covariance_law() -> None:
             l = random_skew(n, rng.randint(0, 10**6))
             s = _random_invertible(rng, n)
             lhs, rhs = covariance_check(a, l, s)
-            assert lhs == rhs
+            _require(lhs == rhs)
 
 
 def check_parity_law() -> None:
@@ -132,7 +138,7 @@ def check_parity_law() -> None:
         for _ in range(8):
             a = _random_symmetric(rng, n)
             l = random_skew(n, rng.randint(0, 10**6))
-            assert eval_skewchar(-a, -l) == (-1) ** n * eval_skewchar(a, l)
+            _require(eval_skewchar(-a, -l) == (-1) ** n * eval_skewchar(a, l))
 
 
 def check_eval_expand_consistency() -> None:
@@ -142,16 +148,16 @@ def check_eval_expand_consistency() -> None:
         p = expand_skewchar(a)
         l = random_skew(3, rng.randint(0, 10**6))
         assignment = {v: l.entry(v.i - 1, v.j - 1) for v in p.variables()}
-        assert p.evaluate(assignment) == eval_skewchar(a, l)
+        _require(p.evaluate(assignment) == eval_skewchar(a, l))
 
 
 def check_pfaffian_identity() -> None:
     for n, seed in ((2, 11), (4, 22), (6, 33)):
         for k in range(5):
             l = random_skew(n, seed + k)
-            assert pfaffian(l) ** 2 == det_rational(l.full_rows())
-    assert pfaffian(random_skew(3, 7)) == 0
-    assert pfaffian(random_skew(5, 7)) == 0
+            _require(pfaffian(l) ** 2 == det_rational(l.full_rows()))
+    _require(pfaffian(random_skew(3, 7)) == 0)
+    _require(pfaffian(random_skew(5, 7)) == 0)
 
 
 def check_witness_contracts() -> None:
@@ -165,23 +171,23 @@ def check_witness_contracts() -> None:
     ]
     for a in samples:
         w = witness_indefinite(a)
-        assert eval_skewchar(a, w.lambda_zero) == 0
-        assert eval_skewchar(a, w.lambda_plus) > 0
-        assert eval_skewchar(a, w.lambda_minus) < 0
+        _require(eval_skewchar(a, w.lambda_zero) == 0)
+        _require(eval_skewchar(a, w.lambda_plus) > 0)
+        _require(eval_skewchar(a, w.lambda_minus) < 0)
 
 
 def check_degenerate_branch() -> None:
     for a in (SymmetricMatrix([[1, 2], [2, 4]]), SymmetricMatrix.zero(2)):
         report = classify(a)
-        assert report.verdict is Verdict.DEGENERATE
-        assert report.witness is not None
-        assert eval_skewchar(a, report.witness.lambda_zero) == 0
+        _require(report.verdict is Verdict.DEGENERATE)
+        _require(report.witness is not None)
+        _require(eval_skewchar(a, report.witness.lambda_zero) == 0)
 
 
 def check_certificate_replay() -> None:
     for n in (2, 3, 4):
         cert = certify_positive(SymmetricMatrix.identity(n))
-        assert cert.replay_poly() == _golden_identity_poly(n)
+        _require(cert.replay_poly() == _golden_identity_poly(n))
     rng = random.Random(606)
     samples = [
         SymmetricMatrix.identity(2),
@@ -192,24 +198,24 @@ def check_certificate_replay() -> None:
     samples.append(congruence_sym(SymmetricMatrix.identity(3), s))
     for a in samples:
         cert = certify_positive(a)
-        assert all(weight > 0 for weight, _ in cert.terms)
+        _require(all(weight > 0 for weight, _ in cert.terms))
         for _ in range(5):
             l = random_skew(a.n, rng.randint(0, 10**6))
-            assert cert.evaluate(l) == eval_skewchar(a, l)
+            _require(cert.evaluate(l) == eval_skewchar(a, l))
 
 
 def check_classification() -> None:
-    assert classify(SymmetricMatrix.identity(4)).verdict is Verdict.POSITIVE_DEFINITE
-    assert classify(SymmetricMatrix.diagonal([1, -1])).verdict is Verdict.INDEFINITE
-    assert classify(SymmetricMatrix([[1, 2], [2, 4]])).verdict is Verdict.DEGENERATE
+    _require(classify(SymmetricMatrix.identity(4)).verdict is Verdict.POSITIVE_DEFINITE)
+    _require(classify(SymmetricMatrix.diagonal([1, -1])).verdict is Verdict.INDEFINITE)
+    _require(classify(SymmetricMatrix([[1, 2], [2, 4]])).verdict is Verdict.DEGENERATE)
     report = classify(SymmetricMatrix.diagonal([-1, -1, -1]))
-    assert report.verdict is Verdict.NEGATIVE_DEFINITE
-    assert report.predicted_sign.value == "AlwaysNegative"
+    _require(report.verdict is Verdict.NEGATIVE_DEFINITE)
+    _require(report.predicted_sign.value == "AlwaysNegative")
     for n in (2, 3):
-        assert crosscheck_classification(
-            SymmetricMatrix.identity(n), trials=50, seed=1)
-        assert crosscheck_classification(
-            -SymmetricMatrix.identity(n), trials=50, seed=1)
+        _require(crosscheck_classification(
+            SymmetricMatrix.identity(n), trials=50, seed=1))
+        _require(crosscheck_classification(
+            -SymmetricMatrix.identity(n), trials=50, seed=1))
 
 
 CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (

@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 
 from skewchar import (
+    SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
+    Var,
     congruence_sym,
     det_rational,
 )
@@ -102,8 +104,6 @@ def random_singular(rng: random.Random, n: int) -> SymmetricMatrix:
 
 
 def random_skew_assignment(rng: random.Random, n: int, bound: int = 5):
-    from skewchar import SkewMatrix, Var
-
     upper = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -111,3 +111,9 @@ def random_skew_assignment(rng: random.Random, n: int, bound: int = 5):
             if value:
                 upper[Var(i, j)] = value
     return SkewMatrix(n, upper)
+
+
+def sparse_skew(rng: random.Random, n: int) -> SkewMatrix:
+    """About 70% zero entries: Pfaffians need pivot swaps and often vanish."""
+    return SkewMatrix(n, {Var(i + 1, j + 1): rational(rng, 5, 4)
+                          for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3})

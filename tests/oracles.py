@@ -3,9 +3,10 @@
 Nothing here shares code with the implementation under test: the symbolic
 matrix A - L is assembled entry by entry from MultiPoly and Var, determinants
 go through naive cofactor expansion instead of the Pfaffian expansion,
-signatures come from characteristic polynomial coefficients via the
-Faddeev-LeVerrier recurrence and Descartes' rule (exact for symmetric
-matrices, whose eigenvalues are all real), and the congruence
+Pfaffians through first-row expansion instead of skew elimination or the
+packed subset kernel, signatures come from characteristic polynomial
+coefficients via the Faddeev-LeVerrier recurrence and Descartes' rule (exact
+for symmetric matrices, whose eigenvalues are all real), and the congruence
 diagonalization is reproduced by plain Fraction elimination.
 """
 
@@ -28,6 +29,21 @@ def cofactor_det(rows):
         if j % 2:
             term = -term
         total = term if total is None else total + term
+    return total
+
+
+def pfaffian_first_row(rows, indices=None):
+    """Pfaffian of rows[indices] by first-row expansion, (n-1)!! terms; generic
+    over + - *.  Odd index sets give 0, the empty set 1."""
+    if indices is None:
+        indices = tuple(range(len(rows)))
+    if not indices:
+        return 1
+    first, rest = indices[0], indices[1:]
+    total = 0
+    for t, other in enumerate(rest):
+        term = rows[first][other] * pfaffian_first_row(rows, rest[:t] + rest[t + 1:])
+        total = total - term if t % 2 else total + term
     return total
 
 

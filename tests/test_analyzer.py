@@ -196,6 +196,17 @@ def test_witness_rejects_definite_and_degenerate():
         witness_indefinite(SymmetricMatrix([[1, 2], [2, 4]]))
 
 
+@pytest.mark.parametrize("a, sig", [
+    (SymmetricMatrix.identity(3), "(3, 0, 0)"),
+    (-SymmetricMatrix.identity(2), "(0, 2, 0)"),
+    (SymmetricMatrix.diagonal([1, 0, -1]), "(1, 1, 1)"),
+])
+def test_witness_rejection_message(a, sig):
+    with pytest.raises(NotIndefinite) as info:
+        witness_indefinite(a)
+    assert str(info.value) == f"signature {sig} is not mixed nondegenerate"
+
+
 def test_witness_search_exhaustion_is_honest():
     # t^2 = 2 has no rational solution, so det(diag(1,-2) - L) = t^2 - 2
     # never vanishes rationally; the search must report that, not fake it.

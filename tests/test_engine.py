@@ -1,5 +1,6 @@
 """Tests for symbolic expansion, evaluation, Pfaffians and certificates."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -14,8 +15,9 @@ from generators import (
     random_skew_assignment,
     random_symmetric,
     random_zero_diagonal,
+    sparse_skew,
 )
-from oracles import cofactor_det, symbolic_difference
+from oracles import cofactor_det, pfaffian_first_row, symbolic_difference
 from skewchar import (
     Certificate,
     DimensionMismatch,
@@ -117,7 +119,7 @@ def test_packed_roots_are_multilinear(n):
     # field of the kernel holds at most 1 and a square at most 2: no carry.
     a = random_symmetric(random.Random(800 + n), n)
     s, d = lagrange_diagonalize(a)
-    terms, _ = _packed_pfaffians(s, d.diagonal_entries())
+    terms, _ = _packed_pfaffians(s.rows, d.diagonal_entries())
     assert len(terms) == 2 ** (n - 1)
     for _, size, root in terms:
         assert root
@@ -299,11 +301,32 @@ def test_pfaffian_4x4_formula():
     assert pfaffian(l) == 8
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 30, 40])
 def test_pfaffian_squares_to_determinant(n):
     for seed in range(10):
         l = random_skew(n, 1000 + seed, 6)
         assert pfaffian(l) ** 2 == det_rational(l.full_rows())
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pfaffian_matches_first_row_oracle(n):
+    # Sign-exact, unlike Pf^2 = det.
+    rng = random.Random(1200 + n)
+    mats = [random_skew(n, 1300 + 20 * n + k, 7) for k in range(10)]
+    mats += [sparse_skew(rng, n) for _ in range(30)]
+    values = [pfaffian(l) for l in mats]
+    assert values == [pfaffian_first_row(l.full_rows()) for l in mats]
+    if n % 2 == 0:
+        assert any(v == 0 for v in values) and any(v < 0 for v in values)
+
+
+def test_pfaffian_n30_is_fast():
+    l = random_skew(30, 31, 10)
+    start = time.perf_counter()
+    value = pfaffian(l)
+    elapsed = time.perf_counter() - start
+    assert value ** 2 == det_rational(l.full_rows())
+    assert elapsed < 2.0, f"pfaffian at n=30 took {elapsed:.2f}s"
 
 
 def test_sub_pfaffian_empty_subset():
@@ -330,6 +353,27 @@ def test_sub_pfaffian_rejects_bad_subsets():
         sub_pfaffian_poly(4, (2, 1))
     with pytest.raises(ValueError):
         sub_pfaffian_poly(4, (1, 5))
+    for subset in ((1.0, 2.0), (True, 2)):
+        with pytest.raises(TypeError):
+            sub_pfaffian_poly(4, subset)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_sub_pfaffian_matches_first_row_oracle(n):
+    rows = [[lam(i + 1, j + 1) if i < j else -lam(j + 1, i + 1) if i > j else 0
+             for j in range(n)] for i in range(n)]
+    for size in range(0, n + 1, 2):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            expected = pfaffian_first_row(rows, tuple(u - 1 for u in subset))
+            assert sub_pfaffian_poly(n, subset) == expected
+
+
+def test_sub_pfaffian_cost_does_not_depend_on_n():
+    # Packing all n(n-1)/2 variables of L would take seconds at n=100.
+    start = time.perf_counter()
+    p = sub_pfaffian_poly(100, (3, 5, 7, 100))
+    assert time.perf_counter() - start < 0.5
+    assert p == lam(3, 5) * lam(7, 100) - lam(3, 7) * lam(5, 100) + lam(3, 100) * lam(5, 7)
 
 
 def test_sub_pfaffian_squares_to_symbolic_determinant():
@@ -361,7 +405,7 @@ def test_certificate_identity_4_reproduces_golden():
     assert roots[0] == ONE
     assert set(roots[1:7]) == {lam(i, j) for i in range(1, 5)
                                for j in range(i + 1, 5)}
-    assert roots[7] == sub_pfaffian_poly(4, (1, 2, 3, 4))
+    assert roots[7] == lam(1, 2) * lam(3, 4) - lam(1, 3) * lam(2, 4) + lam(1, 4) * lam(2, 3)
     assert all(w == 1 for w, _ in cert.terms)
     assert cert.replay_poly() == golden_identity_poly(4)
 

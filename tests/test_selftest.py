@@ -1,5 +1,12 @@
 """Contract tests for the embedded selftest runner."""
 
+import os
+import subprocess
+import sys
+
+import pytest
+
+import skewchar
 from skewchar.selftest import CHECKS, run_selftest
 
 
@@ -27,3 +34,27 @@ def test_reports_failure_count_and_lines():
 def test_check_names_are_unique():
     names = [name for name, _ in CHECKS]
     assert len(names) == len(set(names))
+
+
+_BROKEN_EVAL = """
+import sys
+import skewchar
+from skewchar import analyzer, engine, selftest
+real = engine.eval_skewchar
+for mod in (skewchar, analyzer, engine, selftest):
+    mod.eval_skewchar = lambda a, l: real(a, l) + 1
+print("optimize", sys.flags.optimize)
+selftest.run_selftest()
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_broken_evaluator_fails_with_and_without_optimize(flags):
+    # Checks that only asserted would vanish under python -O and pass.
+    src = os.path.dirname(os.path.dirname(skewchar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, *flags, "-c", _BROKEN_EVAL], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == f"optimize {len(flags)}"
+    assert lines[-1] == "selftest: 3 passed, 7 failed"
