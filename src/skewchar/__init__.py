@@ -8,6 +8,7 @@ witnesses for everything else.
 """
 
 from .analyzer import (
+    AnisotropicForm,
     ClassificationReport,
     NotIndefinite,
     PredictedSign,
@@ -56,6 +57,7 @@ from .polynomials import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AnisotropicForm",
     "Certificate",
     "ClassificationReport",
     "DEFAULT_MAX_DIM",

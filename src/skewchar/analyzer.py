@@ -10,11 +10,15 @@ both strict signs.
 A genuine arithmetic caveat: a rational skew matrix with det(A - L) = 0
 exists if and only if the form has a nonzero rational isotropic vector.
 Indefinite forms of dimension up to four can fail to have one (for example
-diag(1, 1, -3, -3)), and then no exact zero witness exists at all.  The
-search below combines perfect-square tests over congruence diagonalizations
-with a bounded integer enumeration and reports exhaustion honestly instead
-of returning an approximate witness; classify then still gives the exact
-verdict and both strict-sign witnesses.
+diag(1, 1, -3, -3)), and then no exact zero witness exists at all.  By
+Hasse-Minkowski such a form is anisotropic over some Q_p, and for n <= 4 a
+few Hilbert symbols at 2 and at the primes dividing the diagonal entries
+decide that exactly (Serre, A Course in Arithmetic, ch. III-IV): the search
+then stops with a proof naming the least such prime.  Otherwise it combines
+perfect-square tests over congruence diagonalizations with a bounded integer
+enumeration and reports exhaustion honestly instead of returning an
+approximate witness; classify then still gives the exact verdict and both
+strict-sign witnesses.
 
 The strict-sign witnesses are read off one diagonalization S^T A S = D.
 For a nondegenerate form it also gives the inverse, S^-T = A S D^-1, so the
@@ -25,6 +29,7 @@ product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,13 +60,29 @@ class WitnessSearchExhausted(RuntimeError):
     """No exact rational zero of det(A - L) was found within the search budget.
 
     `witness` carries the exact strict-sign witnesses, with lambda_zero None.
+    Neither the existence nor the absence of a zero was proved.
     """
 
     def __init__(self, witness: Witness) -> None:
         super().__init__(
             "no rational skew matrix with det(A - L) = 0 found within the "
-            "search budget; for dimension <= 4 such a matrix may not exist")
+            "search budget, and none was proved not to exist")
         self.witness = witness
+
+
+class AnisotropicForm(RuntimeError):
+    """No rational zero of det(A - L) exists: the form is anisotropic over Q_p.
+
+    `witness` carries the exact strict-sign witnesses, with lambda_zero None
+    and anisotropic_at the least such prime p, also given as `prime`.
+    """
+
+    def __init__(self, witness: Witness) -> None:
+        super().__init__(
+            "no rational skew matrix with det(A - L) = 0 exists: the form is "
+            f"anisotropic at p = {witness.anisotropic_at}")
+        self.witness = witness
+        self.prime = witness.anisotropic_at
 
 
 class Verdict(str, Enum):
@@ -82,10 +103,12 @@ class Witness:
     """Skew matrices pinning down the sign behaviour of det(A - L).
 
     lambda_zero satisfies det(A - lambda_zero) = 0 exactly; it is None only
-    when classify found no rational zero within the search budget.  For
-    indefinite forms lambda_plus and lambda_minus carry the two strict signs;
-    for degenerate forms only the zero witness is populated (the zero matrix
-    itself, since det(A) = 0).
+    when classify found no rational zero.  anisotropic_at is then the least
+    prime p at which the form was proved anisotropic, so that no zero exists,
+    or None when the search budget ran out.  For indefinite forms
+    lambda_plus and lambda_minus carry the two strict signs; for degenerate
+    forms only the zero witness is populated (the zero matrix itself, since
+    det(A) = 0).
     """
 
     lambda_zero: Optional[SkewMatrix]
@@ -94,6 +117,7 @@ class Witness:
     value_plus: Optional[Fraction] = None
     lambda_minus: Optional[SkewMatrix] = None
     value_minus: Optional[Fraction] = None
+    anisotropic_at: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -113,7 +137,9 @@ class ClassificationReport:
         if self.witness is not None:
             w = self.witness
             if w.lambda_zero is None:
-                lines.append("witness lambda_zero: none (search budget exhausted)")
+                reason = ("search budget exhausted" if w.anisotropic_at is None
+                          else f"anisotropic at p = {w.anisotropic_at}")
+                lines.append(f"witness lambda_zero: none ({reason})")
             for name, skew, value in (("lambda_zero", w.lambda_zero, w.value_zero),
                                       ("lambda_plus", w.lambda_plus, w.value_plus),
                                       ("lambda_minus", w.lambda_minus, w.value_minus)):
@@ -235,15 +261,114 @@ def _enumerate_isotropic(m: list[list[int]], bound: int):
     return rec(0, 0, 0, False)
 
 
-def _isotropic_vector(a: SymmetricMatrix, s2: Sequence[Sequence[Fraction]],
-                      diag2: Sequence[Fraction], m: int):
-    """A nonzero int or Fraction vector x with x^T A x = 0, or None if not found.
+# Trial division bound of the local anisotropy test.  A cofactor left over
+# is prime when it is at most _FACTOR_BOUND**2; a larger one skips the test.
+_FACTOR_BOUND = 10 ** 4
 
-    Strategy: zero diagonal entries of A give one outright; then perfect
-    square tests on opposite-sign pairs of the (permuted) diagonalization;
-    then the same test across diagonalizations of every coordinate
-    permutation of A; finally bounded integer enumeration in the original
-    coordinates.
+
+@functools.cache
+def _small_primes() -> tuple[int, ...]:
+    """The primes up to _FACTOR_BOUND, in increasing order."""
+    sieve = bytearray([1]) * (_FACTOR_BOUND + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(_FACTOR_BOUND) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, _FACTOR_BOUND + 1, p)))
+    return tuple(p for p, is_prime in enumerate(sieve) if is_prime)
+
+
+def _prime_factors(k: int) -> Optional[set[int]]:
+    """The primes dividing the int k > 0, or None if a cofactor is too large."""
+    primes = set()
+    for p in _small_primes():
+        if p * p > k:
+            break
+        if k % p == 0:
+            primes.add(p)
+            while k % p == 0:
+                k //= p
+    else:
+        if k > _FACTOR_BOUND ** 2:
+            return None
+    if k > 1:
+        primes.add(k)
+    return primes
+
+
+def _split(a: int, p: int) -> tuple[int, int]:
+    """(v, u) with a = p^v u and u not divisible by p."""
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v, a
+
+
+def _legendre(u: int, p: int) -> int:
+    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+
+
+def _hilbert(a: int, b: int, p: int) -> int:
+    """The Hilbert symbol (a, b)_p of nonzero ints, 1 or -1 (Serre III.1.2)."""
+    alpha, u = _split(a, p)
+    beta, v = _split(b, p)
+    if p == 2:
+        e = (((u - 1) // 2) * ((v - 1) // 2) + alpha * ((v * v - 1) // 8)
+             + beta * ((u * u - 1) // 8))
+        return -1 if e % 2 else 1
+    sign = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
+    return sign * _legendre(u, p) ** beta * _legendre(v, p) ** alpha
+
+
+def _is_square(a: int, p: int) -> bool:
+    """Whether the nonzero int a is a square in Q_p."""
+    v, u = _split(a, p)
+    return v % 2 == 0 and (u % 8 == 1 if p == 2 else _legendre(u, p) == 1)
+
+
+def _locally_isotropic(ints: Sequence[int], p: int) -> bool:
+    """Whether sum d_i x_i^2 has a nonzero zero over Q_p (Serre IV.2.2, Thm 6).
+
+    d is the discriminant and e the Hasse invariant prod_{i<j} (d_i, d_j)_p.
+    """
+    d = math.prod(ints)
+    if len(ints) == 2:
+        return _is_square(-d, p)
+    e = math.prod(_hilbert(x, y, p) for x, y in itertools.combinations(ints, 2))
+    if len(ints) == 3:
+        return _hilbert(-1, -d, p) == e
+    return not _is_square(d, p) or e == _hilbert(-1, -1, p)
+
+
+def _anisotropic_prime(diag: Sequence[Fraction]) -> Optional[int]:
+    """The least prime p with the diagonal form anisotropic over Q_p, or None.
+
+    The form has rank 2, 3 or 4, and None means isotropic at every p, or
+    undecided: a d_i keeps a cofactor above _FACTOR_BOUND**2 after trial
+    division.  Each d_i is scaled to the int numerator * denominator, which
+    keeps its square class.  At rank 3 and 4 the form is isotropic at every
+    odd p that divides no d_i, so only 2 and the prime factors need a test;
+    at rank 2 every smaller prime is tested as well.
+    """
+    ints = [x.numerator * x.denominator for x in diag]
+    primes = {2}
+    for k in ints:
+        factors = _prime_factors(abs(k))
+        if factors is None:
+            return None
+        primes |= factors
+    if len(ints) == 2:
+        primes.update(p for p in _small_primes() if p < max(primes))
+    return next((p for p in sorted(primes) if not _locally_isotropic(ints, p)), None)
+
+
+def _direct_isotropic(a: SymmetricMatrix, s2: Sequence[Sequence[Fraction]],
+                      diag2: Sequence[Fraction], m: int):
+    """An isotropic vector from a zero a_ii or a pair of the diagonalization.
+
+    Returns a nonzero int or Fraction vector x with x^T A x = 0, or None.
+    Zero diagonal entries of A give one outright; then perfect square tests
+    on opposite-sign pairs of the (permuted) diagonalization.
     """
     n = a.n
     for i in range(n):
@@ -251,9 +376,17 @@ def _isotropic_vector(a: SymmetricMatrix, s2: Sequence[Sequence[Fraction]],
             return tuple(int(k == i) for k in range(n))
 
     y = _pair_isotropic(diag2, first_pair=(m - 1, m))
-    if y is not None:
-        return _matvec(s2, y)
+    return None if y is None else _matvec(s2, y)
 
+
+def _searched_isotropic(a: SymmetricMatrix):
+    """A nonzero int or Fraction vector x with x^T A x = 0, or None if not found.
+
+    The perfect square test across diagonalizations of every coordinate
+    permutation of A, then bounded integer enumeration in the original
+    coordinates.  Runs only after _direct_isotropic failed, so no a_ii is 0.
+    """
+    n = a.n
     identity = tuple(range(n))
     for perm in itertools.permutations(range(n)):
         if perm == identity:
@@ -311,10 +444,12 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     original basis it is S^-T T S^-1, and S^-T = A S D^-1 (D is invertible
     here), so it equals t / (d_u d_v) ((Au)(Av)^T - (Av)(Au)^T) for the
     columns u, v of S that carry those directions: no inverse is needed.
-    The zero witness comes from a rational isotropic vector.  Raises
-    WitnessSearchExhausted, carrying the strict-sign witnesses, when no
-    isotropic vector is found within the search budget (for n <= 4 none may
-    exist).
+    The zero witness comes from a rational isotropic vector.  When neither
+    a zero a_ii nor a pair of D gives one and n <= 4, Hilbert symbols decide
+    whether one exists: raises AnisotropicForm, carrying the strict-sign
+    witnesses and the least prime at which none exists.  Otherwise the
+    search goes on, and raises WitnessSearchExhausted, carrying the
+    strict-sign witnesses, when it finds none within its budget.
     """
     s, d = lagrange_diagonalize(a)
     diag = d.diagonal_entries()
@@ -346,9 +481,14 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     else:
         signs = (lam_b, value_b, lam_a, value_a)
 
-    x = _isotropic_vector(a, s2, diag2, m)
+    x = _direct_isotropic(a, s2, diag2, m)
     if x is None:
-        raise WitnessSearchExhausted(Witness(None, None, *signs))
+        p = _anisotropic_prime(diag2) if n <= 4 else None
+        if p is not None:
+            raise AnisotropicForm(Witness(None, None, *signs, anisotropic_at=p))
+        x = _searched_isotropic(a)
+        if x is None:
+            raise WitnessSearchExhausted(Witness(None, None, *signs))
     lam_zero = _kernel_skew(a, x)
     value_zero = eval_skewchar(a, lam_zero)
     if value_zero != 0:
@@ -362,8 +502,9 @@ def classify(a: SymmetricMatrix) -> ClassificationReport:
     Definite verdicts predict the strict sign of det(A - L): always positive
     for positive forms, and for negative forms positive or negative according
     to the parity of the dimension.  Degenerate and indefinite forms carry an
-    explicit witness; when the zero search of an indefinite form is exhausted,
-    the witness has only its two strict-sign matrices.
+    explicit witness; when an indefinite form has no rational zero, or its
+    zero search is exhausted, the witness has only its two strict-sign
+    matrices.
     """
     sig = signature(a)
     n = a.n
@@ -382,7 +523,7 @@ def classify(a: SymmetricMatrix) -> ClassificationReport:
         return ClassificationReport(Verdict.NEGATIVE_DEFINITE, sig, predicted)
     try:
         witness = witness_indefinite(a)
-    except WitnessSearchExhausted as exc:
+    except (AnisotropicForm, WitnessSearchExhausted) as exc:
         witness = exc.witness
     return ClassificationReport(
         Verdict.INDEFINITE, sig, PredictedSign.NOT_SIGN_DEFINITE, witness)

@@ -5,8 +5,9 @@ All output is deterministic plain text; seeded commands print their seed in
 a header so runs can be reproduced exactly.
 
 Exit codes: 0 success, 1 selftest failure or a witness search that found no
-rational zero within its budget (classify then still prints its verdict and
-exits 0), 2 input error, 3 dimension cap exceeded.
+rational zero within its budget, 2 input error, 3 dimension cap exceeded, 4
+witness proved that no rational zero exists (the form is anisotropic at a
+prime p).  In both witness cases classify still prints its verdict and exits 0.
 
 The argument parser is built once per process (build_parser is cached), so
 repeated in-process calls of main() neither rebuild it nor leave its
@@ -21,7 +22,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .analyzer import WitnessSearchExhausted, classify, sign_probe
+from .analyzer import AnisotropicForm, WitnessSearchExhausted, classify, sign_probe
 from .engine import (
     DEFAULT_MAX_DIM,
     ExpansionTooLarge,
@@ -78,6 +79,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             f"form is {report.verdict.value}: det(A - L) is sign-definite, "
             "no sign-change witness exists")
     if report.witness.lambda_zero is None:
+        if report.witness.anisotropic_at is not None:
+            raise AnisotropicForm(report.witness)
         raise WitnessSearchExhausted(report.witness)
     print(report.to_text(), end="")
     return 0
@@ -121,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "exit codes: 0 success; 1 selftest failure, or witness found no "
             "rational zero within its search budget; 2 input error; 3 dimension "
-            "cap exceeded."),
+            "cap exceeded; 4 witness proved that no rational zero exists (the "
+            "form is anisotropic at a prime p)."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -178,6 +182,9 @@ def main(argv: list[str] | None = None) -> int:
     except WitnessSearchExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AnisotropicForm as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

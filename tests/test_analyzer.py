@@ -16,6 +16,7 @@ from generators import (
 )
 from oracles import cofactor_det
 from skewchar import (
+    AnisotropicForm,
     NotIndefinite,
     PredictedSign,
     ProbeReport,
@@ -210,20 +211,30 @@ def test_witness_rejection_message(a, sig):
 def test_witness_search_exhaustion_is_honest():
     # t^2 = 2 has no rational solution, so det(diag(1,-2) - L) = t^2 - 2
     # never vanishes rationally; the search must report that, not fake it.
-    with pytest.raises(WitnessSearchExhausted):
-        witness_indefinite(SymmetricMatrix.diagonal([1, -2]))
-    # anisotropic at 3: no rational zero exists, whatever the budget
-    with pytest.raises(WitnessSearchExhausted):
-        witness_indefinite(SymmetricMatrix.diagonal([1, 1, -3, -3]))
+    # Both forms are anisotropic at 2 (and the second also at 3), so no
+    # rational zero exists, whatever the budget: that is proved, and the
+    # least prime is named.
+    for diag in ([1, -2], [1, 1, -3, -3]):
+        with pytest.raises(AnisotropicForm) as info:
+            witness_indefinite(SymmetricMatrix.diagonal(diag))
+        assert info.value.prime == info.value.witness.anisotropic_at == 2
+    # 10007 * 10009 = 3 mod 4 has no prime factor below the trial division
+    # bound: the local test is skipped and only the budget runs out.
+    with pytest.raises(WitnessSearchExhausted) as info:
+        witness_indefinite(SymmetricMatrix.diagonal([1, 1, -10007 * 10009]))
+    assert info.value.witness.anisotropic_at is None
 
 
-@pytest.mark.parametrize("diag", [[1, -2], [1, 1, -3, -3]])
-def test_classify_gives_verdict_when_zero_search_is_exhausted(diag):
+@pytest.mark.parametrize("diag, prime", [([1, -2], 2), ([1, 1, -3, -3], 2),
+                                         ([1, 1, -10007 * 10009], None)],
+                         ids=["diag0", "diag1", "diag2"])
+def test_classify_gives_verdict_when_zero_search_is_exhausted(diag, prime):
     a = SymmetricMatrix.diagonal(diag)
     report = classify(a)
     assert report.verdict is Verdict.INDEFINITE
     w = report.witness
     assert w.lambda_zero is None and w.value_zero is None
+    assert w.anisotropic_at == prime
     assert eval_skewchar(a, w.lambda_plus) == w.value_plus > 0
     assert eval_skewchar(a, w.lambda_minus) == w.value_minus < 0
     assert crosscheck_classification(a)

@@ -27,6 +27,7 @@ def files(tmp_path):
         "aniso2": write("aniso2.txt", "2\n1 0\n0 -2\n"),
         "aniso4": write("aniso4.txt",
                         "4\n1 0 0 0\n0 1 0 0\n0 0 -3 0\n0 0 0 -3\n"),
+        "unfactored3": write("unfactored3.txt", "3\n1 0 0\n0 1 0\n0 0 -100160063\n"),
     }
 
 
@@ -119,40 +120,59 @@ def test_witness_on_definite_is_input_error(files, capsys):
     assert "sign-definite" in err
 
 
+_ANISOTROPIC_ERR = (
+    "error: no rational skew matrix with det(A - L) = 0 exists: the form is "
+    "anisotropic at p = 2\n")
 _EXHAUSTED_ERR = (
     "error: no rational skew matrix with det(A - L) = 0 found within the search "
-    "budget; for dimension <= 4 such a matrix may not exist\n")
+    "budget, and none was proved not to exist\n")
 
 
-@pytest.mark.parametrize("name, expected", [
+@pytest.mark.parametrize("name, expected, code, err", [
     pytest.param(
         "aniso2",
         "verdict: Indefinite\n"
         "signature: 1 1 0\n"
         "predicted_sign: NotSignDefinite\n"
-        "witness lambda_zero: none (search budget exhausted)\n"
+        "witness lambda_zero: none (anisotropic at p = 2)\n"
         "witness lambda_plus: P = 2\n"
         "2\n1 2 2\n"
         "witness lambda_minus: P = -2\n"
         "2\n",
+        4, _ANISOTROPIC_ERR,
         id="diag(1,-2)"),
     pytest.param(
         "aniso4",
         "verdict: Indefinite\n"
         "signature: 2 2 0\n"
         "predicted_sign: NotSignDefinite\n"
-        "witness lambda_zero: none (search budget exhausted)\n"
+        "witness lambda_zero: none (anisotropic at p = 2)\n"
         "witness lambda_plus: P = 9\n"
         "4\n"
         "witness lambda_minus: P = -3\n"
         "4\n2 3 2\n",
+        4, _ANISOTROPIC_ERR,
         id="diag(1,1,-3,-3)"),
+    pytest.param(
+        "unfactored3",
+        "verdict: Indefinite\n"
+        "signature: 2 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: none (search budget exhausted)\n"
+        "witness lambda_plus: P = 1\n"
+        "3\n2 3 10008\n"
+        "witness lambda_minus: P = -100160063\n"
+        "3\n",
+        1, _EXHAUSTED_ERR,
+        id="diag(1,1,-10007*10009)"),
 ])
-def test_exhausted_zero_search(files, capsys, name, expected):
+def test_exhausted_zero_search(files, capsys, name, expected, code, err):
     # classify still prints the exact verdict and strict-sign witnesses
     assert run(capsys, ["classify", files[name]]) == (0, expected, "")
-    # witness refuses: nothing on stdout, one error line, exit 1
-    assert run(capsys, ["witness", files[name]]) == (1, "", _EXHAUSTED_ERR)
+    # witness refuses: nothing on stdout, one error line.  Exit 4 when the
+    # form is proved anisotropic, exit 1 when only the budget ran out: here
+    # 10007 * 10009 has no prime factor below the trial division bound.
+    assert run(capsys, ["witness", files[name]]) == (code, "", err)
 
 
 def test_help_lists_exit_codes(capsys):
@@ -162,7 +182,8 @@ def test_help_lists_exit_codes(capsys):
     out = " ".join(capsys.readouterr().out.split())
     assert ("exit codes: 0 success; 1 selftest failure, or witness found no "
             "rational zero within its search budget; 2 input error; "
-            "3 dimension cap exceeded.") in out
+            "3 dimension cap exceeded; 4 witness proved that no rational zero "
+            "exists (the form is anisotropic at a prime p).") in out
 
 
 def test_certify(files, capsys):

@@ -376,6 +376,17 @@ def test_sub_pfaffian_cost_does_not_depend_on_n():
     assert p == lam(3, 5) * lam(7, 100) - lam(3, 7) * lam(5, 100) + lam(3, 100) * lam(5, 7)
 
 
+def test_sub_pfaffian_refuses_more_than_12_indices():
+    # |U| = 12 has 11!! = 10,395 terms; |U| = 14 (135,135 terms) took 3.7 s
+    # and 243 MB before the cap, and is now refused before any work.
+    assert len(dict(sub_pfaffian_poly(12, range(1, 13)).terms())) == 10395
+    for n, subset in ((14, range(1, 15)), (10 ** 6, range(1, 10 ** 6, 50_000))):
+        start = time.perf_counter()
+        with pytest.raises(ExpansionTooLarge, match="exceeds the Pfaffian cap 12"):
+            sub_pfaffian_poly(n, subset)
+        assert time.perf_counter() - start < 0.05
+
+
 def test_sub_pfaffian_squares_to_symbolic_determinant():
     # Pf(L[U])^2 equals det of the symbolic principal submatrix, n = 4 full set
     p = sub_pfaffian_poly(4, (1, 2, 3, 4))
