@@ -287,9 +287,8 @@ def _prime_factors(k: int) -> Optional[set[int]]:
             primes.add(p)
             while k % p == 0:
                 k //= p
-    else:
-        if k > _FACTOR_BOUND ** 2:
-            return None
+    if k > _FACTOR_BOUND ** 2:
+        return None
     if k > 1:
         primes.add(k)
     return primes
