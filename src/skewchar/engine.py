@@ -12,17 +12,17 @@ S^T A S = D with det S = +-1 and put M = S^T L S; then det(A - L) =
 det(D - M), the sum over even index subsets U of (prod of d_i outside U)
 times Pf(M[U])^2, whatever the signs of the d_i.
 
-The sum runs on packed integer polynomials: a dict from monomial to int
-coefficient, each monomial one int with a 2-bit exponent field per variable
-l_ij (Monagan and Pearce, ISSAC 2009).  S is scaled to integers once, and
+The sum runs on packed integer polynomials: a dict from packed monomial
+(polynomials module docstring) to int coefficient.  S is scaled to integers once, and
 every even subset's Pfaffian is built once from those of its minors (Rote,
 LNCS 2122, 2001).  Two bits are exact: Pf(B^T L B) = sum_J det B[J, U] Pf(L[J])
 and each Pf(L[J]) is a signed sum of perfect matchings, so every root is
-multilinear and no product has an exponent above 2.  Var and Fraction are
-built only at the boundary: one MultiPoly per expansion, one per certificate
-root.  On a dense rational form, expansion takes about 0.11 s at n=7 (9,982
-terms) and 1.4 s at n=8 (93,362 terms); printing the result takes another
-0.2 s and 1.8 s (one core of a shared 2-core x86-64 machine, Python 3.11).
+multilinear and no product has an exponent above 2.  The expansion and each
+certificate root stay packed (MultiPoly._from_packed), so printing builds no
+Var term or Fraction; the sampled check of a certificate does.  On a
+dense rational form, expansion takes about 0.05 s at n=7 (9,467 terms) and
+0.6 s at n=8 (94,088 terms); printing the result takes another 0.07 s and
+0.4 to 0.7 s (one core of a shared 2-core x86-64 machine, Python 3.11).
 DEFAULT_MAX_DIM stays 7 all the same: certify_positive at n=8 takes about
 19 s, nearly all of it in the Fraction evaluations of its sampled check.
 """
@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -44,7 +43,7 @@ from .matrices import (
     lagrange_diagonalize,
     random_skew,
 )
-from .polynomials import MultiPoly, Var
+from .polynomials import MultiPoly, Var, _unpack, packed_fields
 
 DEFAULT_MAX_DIM = 7
 
@@ -129,7 +128,7 @@ def sub_pfaffian_poly(n: int, subset: Sequence[int]) -> MultiPoly:
     name = {Var(a + 1, b + 1): Var(subset[a], subset[b])
             for a, b in itertools.combinations(range(k), 2)}
     return MultiPoly._raw({tuple((name[v], e) for v, e in mono): c
-                           for mono, c in _unpack(k, root, 1).terms()})
+                           for mono, c in _unpack(k, root, 1).items()})
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,8 @@ class Certificate:
 
     All weights are strictly positive rationals and the empty-subset root is
     1, so the sum is positive.  det S = +-1, so no scale applies; "scale: 1"
-    is a fixed line of the text format.
+    is a fixed line of the text format.  The roots keep the packed form of
+    the kernel, so to_text prints them the way expand prints P.
     """
 
     n: int
@@ -185,12 +185,12 @@ def _packed_pfaffians(rows: Sequence[Sequence[Fraction]], diag: Sequence[Fractio
     n = len(rows)
     scale = lcm(*(x.denominator for row in rows for x in row))
     r = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-    pairs = list(itertools.combinations(range(n), 2))
+    fields = packed_fields(n)
     # m_int(u, v) is linear: (field bit of l_km, coefficient) per variable.
     linear = {
-        (u, v): [(1 << 2 * f, c) for f, (k, m) in enumerate(pairs)
+        (u, v): [(bit, c) for bit, k, m in fields
                  if (c := r[k][u] * r[m][v] - r[m][u] * r[k][v])]
-        for u, v in pairs
+        for _, u, v in fields
     }
     pf = {0: {0: 1}}
     terms = []
@@ -238,31 +238,7 @@ def _square_sum(n: int, terms, scale: int) -> MultiPoly:
             cc = 2 * c * ca
             for mb, cb in items[a + 1:]:
                 acc[ma + mb] = get(ma + mb, 0) + cc * cb
-    return _unpack(n, acc, k)
-
-
-@lru_cache(maxsize=16)
-def _field_table(n: int) -> tuple:
-    """For each byte of a packed monomial, the (Var, exponent) pairs of its 256 values."""
-    names = [Var(k + 1, m + 1) for k, m in itertools.combinations(range(n), 2)]
-    return tuple(
-        tuple(tuple((names[f], e) for f in range(q, min(q + 4, len(names)))
-                    if (e := b >> 2 * (f - q) & 3)) for b in range(256))
-        for q in range(0, len(names), 4)
-    )
-
-
-def _unpack(n: int, packed: dict, den: int) -> MultiPoly:
-    """The MultiPoly sum of c / den times each packed monomial."""
-    table = _field_table(n)
-    out = {}
-    for mono, c in packed.items():
-        if c:
-            key = ()
-            for pieces, b in zip(table, mono.to_bytes(len(table), "little")):
-                key += pieces[b]
-            out[key] = Fraction(c, den)
-    return MultiPoly._raw(out)
+    return MultiPoly._from_packed(n, acc, k)
 
 
 def expand_skewchar(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> MultiPoly:
@@ -296,7 +272,7 @@ def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Cert
 
     terms, scale = _packed_pfaffians(s.rows, diag)
     cert = Certificate(n=n, terms=tuple(
-        (w, _unpack(n, root, scale ** size)) for w, size, root in terms))
+        (w, MultiPoly._from_packed(n, root, scale ** size)) for w, size, root in terms))
     for k in range(1, _CERT_CHECK_SAMPLES + 1):
         probe = random_skew(n, _CERT_CHECK_SEED + k, 10)
         if cert.evaluate(probe) != eval_skewchar(a, probe):

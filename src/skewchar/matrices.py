@@ -229,6 +229,13 @@ class SkewMatrix:
         self.upper = store
 
     @classmethod
+    def _trusted(cls, n: int, upper: dict) -> "SkewMatrix":
+        # Trusted path for from_text: upper is already checked, zeros dropped.
+        l = object.__new__(cls)
+        l.n, l.upper = n, upper
+        return l
+
+    @classmethod
     def zero(cls, n: int) -> "SkewMatrix":
         return cls(n)
 
@@ -305,7 +312,9 @@ class SkewMatrix:
             if var in upper:
                 raise MatrixParseError(f"duplicate entry for {var}")
             upper[var] = _parse_fraction(toks[2], memo)
-        return cls(n, upper)
+        if not all(upper.values()):
+            upper = {v: c for v, c in upper.items() if c}
+        return cls._trusted(n, upper)
 
 
 class TransitionMatrix:

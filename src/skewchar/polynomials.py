@@ -5,13 +5,30 @@ evaluation result is an exact rational in lowest terms with positive
 denominator.  Polynomials are immutable and canonical: no zero coefficients
 are stored, monomials carry no zero exponents, and equality is plain equality
 of the underlying term maps.
+
+Canonical text lists the terms by total degree, lowest first, and within one
+degree by exponent vector, largest first, the variables taken in the order of
+their index pairs (l1_2, l1_3, ..., l2_3, ...), the first most significant.
+
+Packed monomials (Monagan and Pearce, ISSAC 2009).  In dimension n, one int
+holds a 2-bit exponent field per variable: bit 2f starts the exponent of
+l<k+1>_<m+1>, where (k, m) is the f-th pair of combinations(range(n), 2).
+Adding two packed monomials multiplies them while no exponent passes 3.  As
+field order is variable order, the canonical order is one integer key: the
+total degree, popcount(m) + popcount(m & 0b1010...), above the complement of
+m with its fields reversed.  MultiPoly._from_packed keeps a dict of such
+monomials to int coefficients over one denominator; it prints from it and
+builds its Var terms only when they are read.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -94,10 +111,91 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
+def _factor(v: Var, e: int) -> str:
+    return str(v) if e == 1 else f"{v}^{e}"
+
+
+@lru_cache(maxsize=16)
+def packed_fields(n: int) -> tuple:
+    """(bit, k, m) per field of a packed monomial in dimension n, 0-based k < m."""
+    return tuple((1 << 2 * f, k, m)
+                 for f, (k, m) in enumerate(itertools.combinations(range(n), 2)))
+
+
+@lru_cache(maxsize=16)
+def _byte_tables(n: int) -> tuple:
+    """Per byte of a packed monomial: its 256 values as (Var, exponent) pairs, and as text."""
+    names = [Var(k + 1, m + 1) for _, k, m in packed_fields(n)]
+    pairs = [
+        tuple(tuple((names[f], e) for f in range(q, min(q + 4, len(names)))
+                    if (e := b >> 2 * (f - q) & 3)) for b in range(256))
+        for q in range(0, len(names), 4)
+    ]
+    texts = [tuple("*".join(_factor(v, e) for v, e in t) for t in table)
+             for table in pairs]
+    return tuple(pairs), tuple(texts)
+
+
+# Each byte with its four 2-bit fields in reverse order.
+_REVERSED = bytes(sum((b >> 2 * f & 3) << 6 - 2 * f for f in range(4))
+                  for b in range(256))
+
+
+def _unpack(n: int, packed: dict, den: int) -> dict:
+    """The Var terms of the sum of c / den times each packed monomial, c != 0."""
+    pairs, _ = _byte_tables(n)
+    size = len(pairs)
+    out = {}
+    for mono, c in packed.items():
+        key = ()
+        for pieces, b in zip(pairs, mono.to_bytes(size, "little")):
+            key += pieces[b]
+        out[key] = Fraction(c, den)
+    return out
+
+
+def _packed_items(n: int, packed: dict, den: int) -> Iterator[tuple]:
+    """(factor text, c, den) per packed monomial, in canonical order."""
+    _, texts = _byte_tables(n)
+    size = len(texts)
+    width = 8 * size
+    high = int.from_bytes(b"\xaa" * size, "little")  # the high bit of every field
+    low_fields = (1 << width) - 1
+
+    def order(m: int) -> int:
+        rev = int.from_bytes(m.to_bytes(size, "little").translate(_REVERSED), "big")
+        return ((m.bit_count() + (m & high).bit_count()) << width) | (rev ^ low_fields)
+
+    for m in sorted(packed, key=order):
+        factors = [t for t in map(tuple.__getitem__, texts, m.to_bytes(size, "little")) if t]
+        yield "*".join(factors), packed[m], den
+
+
+def _write(items: Iterable[tuple]) -> str:
+    """Canonical text of (factor text, c, den) triples given in canonical order.
+
+    Each is the term c / den times its factors; c != 0 and den > 0.
+    """
+    out = []
+    for factors, c, den in items:
+        g = gcd(c, den)
+        mag, den = abs(c) // g, den // g
+        coeff = str(mag) if den == 1 else f"{mag}/{den}"
+        out.append(" - " if c < 0 else " + ")
+        out.append(coeff if not factors else factors if coeff == "1"
+                   else f"{coeff}*{factors}")
+    if not out:
+        return "0"
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
+
+
 class MultiPoly:
     """A sparse multivariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("_terms",)
+    # _terms maps Var monomials to coefficients.  _packed is None, or the
+    # (n, packed dict, den) of _from_packed; then _terms is built on first read.
+    __slots__ = ("_terms", "_packed")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | Iterable = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -115,13 +213,29 @@ class MultiPoly:
                     raise ValueError("negative exponents are not representable")
             acc[mono] = acc.get(mono, Fraction(0)) + coeff
         self._terms = {m: c for m, c in acc.items() if c}
+        self._packed = None
 
     @classmethod
     def _raw(cls, terms: dict) -> "MultiPoly":
         # Internal fast path: terms is already canonical.
         p = object.__new__(cls)
         p._terms = terms
+        p._packed = None
         return p
+
+    @classmethod
+    def _from_packed(cls, n: int, packed: dict, den: int) -> "MultiPoly":
+        """The sum of c / den times each packed monomial (module docstring), den > 0."""
+        p = object.__new__(cls)
+        p._packed = (n, {m: c for m, c in packed.items() if c}, den)
+        return p
+
+    def __getattr__(self, name: str):
+        # Reached only while a slot is unset: the Var terms of a packed polynomial.
+        if name != "_terms" or self._packed is None:
+            raise AttributeError(name)
+        self._terms = _unpack(*self._packed)
+        return self._terms
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -140,13 +254,13 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self)
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self._terms.items())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._packed[1] if self._packed else self._terms)
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(tuple(sorted(mono)), Fraction(0))
@@ -271,28 +385,16 @@ class MultiPoly:
     # -- canonical text ----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        # By degree, then larger exponents of earlier variables first.  The
-        # factor lists compare like dense exponent vectors because, within one
-        # degree, no monomial's factor list is a proper prefix of another's.
-        pieces: list[str] = []
-        for mono in sorted(self._terms, key=lambda m: (
-                mono_degree(m), [(v.i, v.j, -e) for v, e in m])):
-            coeff = self._terms[mono]
-            mag = abs(coeff)
-            factors = [str(v) if e == 1 else f"{v}^{e}" for v, e in mono]
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else "-" + body)
-            else:
-                pieces.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(pieces)
+        if self._packed:
+            return _write(_packed_items(*self._packed))
+        # Var terms may carry exponents above 3, so they sort by their own key
+        # to the same order: the factor lists compare like dense exponent
+        # vectors because, within one degree, no monomial's factor list is a
+        # proper prefix of another's.
+        return _write(
+            ("*".join([_factor(v, e) for v, e in mono]), c.numerator, c.denominator)
+            for mono, c in sorted(self._terms.items(), key=lambda t: (
+                mono_degree(t[0]), [(v.i, v.j, -e) for v, e in t[0]])))
 
     def __repr__(self) -> str:
         return f"MultiPoly({str(self)!r})"

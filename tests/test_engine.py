@@ -1,5 +1,6 @@
 """Tests for symbolic expansion, evaluation, Pfaffians and certificates."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -39,7 +40,8 @@ from skewchar import (
     random_skew,
     sub_pfaffian_poly,
 )
-from skewchar.engine import _packed_pfaffians, _unpack
+from skewchar.engine import _packed_pfaffians
+from skewchar.polynomials import _unpack
 from skewchar.selftest import covariance_check
 
 ONE = MultiPoly.constant(1)
@@ -123,7 +125,7 @@ def test_packed_roots_are_multilinear(n):
     assert len(terms) == 2 ** (n - 1)
     for _, size, root in terms:
         assert root
-        for mono, _ in _unpack(n, root, 1).terms():
+        for mono in _unpack(n, root, 1):
             assert all(e == 1 for _, e in mono)
             assert len(mono) == size // 2
 
@@ -144,6 +146,33 @@ def test_expand_n7_is_fast():
     elapsed = time.perf_counter() - start
     assert len(p) > 1000
     assert elapsed < 1.0, f"expand_skewchar at n=7 took {elapsed:.2f}s"
+
+
+def test_expand_prints_without_building_var_terms():
+    # The result keeps the kernel's packed monomials; text and length read
+    # them directly, and the Var terms are built only for term access.
+    p = expand_skewchar(random_symmetric(random.Random(815), 5))
+    text, size = str(p), len(p)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(p, "_terms")
+    assert size == len(list(p.terms())) and MultiPoly.parse(text) == p
+
+
+def test_expand_n8_text_golden_and_print_time():
+    # The sha256 of the text printed when the result still went through Var
+    # terms.  Printing from the packed monomials takes about 0.4 s here; the
+    # Var round trip took 0.4 s to unpack and 1.3 s to print.
+    a = random_symmetric(random.Random(808), 8)
+    p = expand_skewchar(a, max_dim=8)
+    assert len(p) == 94088
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        text = str(p)
+        best = min(best, time.perf_counter() - start)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "60bf594c216e6e3698a2238a63778767d27fbff25610e6e53dec3a5386d432c5")
+    assert best < 0.9, f"printing the n=8 expansion took {best:.2f}s"
 
 
 # -- evaluation ------------------------------------------------------------------

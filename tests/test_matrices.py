@@ -353,6 +353,13 @@ def test_skew_zero_value_is_dropped():
     assert SkewMatrix.from_text("3\n1 2 -0\n2 3 0/5\n").upper == {}
 
 
+def test_skew_duplicate_of_zero_entry_is_refused():
+    # A zero value is dropped from the store, but still counts as given.
+    for text in ("2\n1 2 0\n1 2 0\n", "2\n1 2 0\n1 2 5\n", "2\n1 2 5\n1 2 0\n"):
+        with pytest.raises(MatrixParseError, match="^duplicate entry for l1_2$"):
+            SkewMatrix.from_text(text)
+
+
 _REPEATED = [Fraction(0), Fraction(1, 2), Fraction(-3), Fraction(-5, 3)]
 
 

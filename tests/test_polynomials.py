@@ -1,5 +1,7 @@
 """Unit and property tests for the exact polynomial layer."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -221,3 +223,83 @@ def test_coefficients_stay_canonical_after_long_chains(seed):
     for _, coeff in acc.terms():
         assert coeff.denominator > 0
         assert math.gcd(abs(coeff.numerator), coeff.denominator) == 1
+
+
+# -- packed polynomials ----------------------------------------------------------
+
+
+def var_built(n: int, packed: dict, den: int) -> MultiPoly:
+    """The same polynomial as MultiPoly._from_packed, decoded field by field."""
+    names = [Var(k + 1, m + 1) for k, m in itertools.combinations(range(n), 2)]
+    return MultiPoly({
+        tuple((v, e) for f, v in enumerate(names) if (e := mono >> 2 * f & 3)):
+            Fraction(c, den)
+        for mono, c in packed.items()
+    })
+
+
+def random_packed(rng: random.Random, n: int) -> dict:
+    """Up to 40 monomials with exponents 0..3, mixed signs and some zero coefficients."""
+    fields = n * (n - 1) // 2
+    packed = {}
+    for _ in range(rng.randint(0, 40)):
+        mono = 0
+        for f in rng.sample(range(fields), min(fields, rng.randint(0, 4))):
+            mono |= rng.choice((1, 1, 2, 3)) << 2 * f
+        packed[mono] = rng.choice((0, 1, -1, rng.randint(-10**20, 10**20)))
+    return packed
+
+
+PACKED_CASES = [
+    (1, {}, 1),  # zero polynomial
+    (3, {0b01: 0, 0b0100: 0}, 5),  # only zero coefficients
+    (1, {0: 5}, 3),  # lone constant
+    (4, {0: -6}, 4),
+    (3, {0: -3, 0b01: 2, 0b10_00_00: -4}, 6),  # negative first term, exponent 2
+    (4, {0b01_00_00_00_01: 1, 0b10: -1, 0: 0}, 1),
+    (8, {1 << 54: 1, 1: -1, (1 << 55) | 1: 10**30}, 7),  # last and first field
+]
+
+
+def all_packed_cases():
+    rng = random.Random(1313)
+    cases = list(PACKED_CASES)
+    for n in range(1, 9):
+        for _ in range(12):
+            cases.append((n, random_packed(rng, n), rng.choice((1, 2, 6, 35, 10**12))))
+    return cases
+
+
+def test_packed_text_goldens():
+    texts = [str(MultiPoly._from_packed(n, packed, den)) for n, packed, den in PACKED_CASES]
+    assert texts == [
+        "0",
+        "0",
+        "5/3",
+        "-3/2",
+        "-1/2 + 1/3*l1_2 - 2/3*l2_3^2",
+        "-l1_2^2 + l1_2*l2_4",
+        f"-1/7*l1_2 + 1/7*l7_8 + {10**30}/7*l1_2*l7_8^2",
+    ]
+
+
+def test_packed_polynomials_print_and_behave_like_var_built_ones():
+    # The packed sort key and the Var sort key must give the same text.
+    for n, packed, den in all_packed_cases():
+        p, q = MultiPoly._from_packed(n, packed, den), var_built(n, packed, den)
+        assert str(p) == str(q), (n, packed, den)
+        assert len(p) == len(q) == sum(1 for c in packed.values() if c)
+        assert p.is_zero == q.is_zero
+        assert hash(p) == hash(q)
+        assert p == q and q == p
+        assert MultiPoly.parse(str(p)) == p
+        assert str(p + q) == str(2 * q)
+
+
+def test_packed_length_and_text_leave_var_terms_unbuilt():
+    p = MultiPoly._from_packed(3, {0: 1, 0b01: 0, 0b0100: 2}, 3)
+    assert (len(p), str(p), p.is_zero) == (2, "1/3 + 2/3*l1_3", False)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(p, "_terms")
+    assert p.coefficient(((Var(1, 3), 1),)) == Fraction(2, 3)
+    assert object.__getattribute__(p, "_terms")
