@@ -42,7 +42,7 @@ class _InputError(Exception):
 def _read(path: str, parse):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
         return parse(text)

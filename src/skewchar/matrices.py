@@ -11,8 +11,11 @@ lcm of all denominators) and yields the exact diagonal and the basis
 changes.  signature() reads only the signs of that diagonal;
 lagrange_diagonalize() alone builds the transition matrix S.
 
-The text readers parse each distinct token once per file: a memo local to
-one from_text call maps a token to its Fraction, so equal tokens share one
+The text readers refuse non-ASCII text, then share one prologue: strip the
+lines, drop blank ones, read the dimension.  Dimensions, indices and values
+follow the ASCII number grammar kept in polynomials, the one polynomial text
+uses too.  Each distinct token is parsed once per file: a memo local to one
+from_text call maps a token to its Fraction, so equal tokens share one
 object and the symmetry check of a clean file is one tuple comparison that
 mostly compares objects by identity.
 """
@@ -21,11 +24,11 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .polynomials import Scalar, Var, _as_fraction
+from .polynomials import (Scalar, Var, _as_fraction, _check_ascii, _parse_digits,
+                          _parse_rational)
 
 
 class DimensionMismatch(ValueError):
@@ -53,10 +56,6 @@ def _matmul(a, b):
         tuple(sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p))
         for i in range(n)
     )
-
-
-def _transpose(a):
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
 
 
 def _int_bareiss_det(m: list[list[int]]) -> int:
@@ -188,15 +187,12 @@ class SymmetricMatrix:
     @classmethod
     def from_text(cls, text: str) -> "SymmetricMatrix":
         """Read the symmetric file format; each distinct token is parsed once."""
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-        if not lines:
-            raise MatrixParseError("empty matrix text")
-        n = _parse_dimension(lines[0])
-        if len(lines) != n + 1:
-            raise MatrixParseError(f"expected {n} rows, found {len(lines) - 1}")
+        n, lines = _read_lines(text)
+        if len(lines) != n:
+            raise MatrixParseError(f"expected {n} rows, found {len(lines)}")
         rows = []
         memo: dict[str, Fraction] = {}
-        for ln in lines[1:]:
+        for ln in lines:
             toks = ln.split()
             if len(toks) != n:
                 raise MatrixParseError(f"expected {n} entries per row, got {len(toks)}")
@@ -292,20 +288,16 @@ class SkewMatrix:
     @classmethod
     def from_text(cls, text: str) -> "SkewMatrix":
         """Read the skew file format; each distinct value token is parsed once."""
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-        if not lines:
-            raise MatrixParseError("empty matrix text")
-        n = _parse_dimension(lines[0])
+        n, lines = _read_lines(text)
         upper: dict[Var, Fraction] = {}
         memo: dict[str, Fraction] = {}
-        for ln in lines[1:]:
+        for ln in lines:
             toks = ln.split()
             if len(toks) != 3:
                 raise MatrixParseError(f"expected 'i j value', got {ln!r}")
-            try:
-                i, j = _digits(toks[0]), _digits(toks[1])
-            except ValueError as exc:
-                raise MatrixParseError(f"bad indices in {ln!r}") from exc
+            i, j = _parse_digits(toks[0]), _parse_digits(toks[1])
+            if i is None or j is None:
+                raise MatrixParseError(f"bad indices in {ln!r}")
             if not (1 <= i < j <= n):
                 raise MatrixParseError(f"indices must satisfy 1 <= i < j <= {n}: {ln!r}")
             var = Var(i, j)
@@ -357,9 +349,6 @@ class TransitionMatrix:
             rows[p][k] = 1
         return cls(rows)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TransitionMatrix) and self.rows == other.rows
 
@@ -377,7 +366,7 @@ def congruence_sym(a: SymmetricMatrix, s: TransitionMatrix) -> SymmetricMatrix:
     """The transformed matrix S^T A S of a quadratic form under basis change."""
     if a.n != s.n:
         raise DimensionMismatch(f"form has n={a.n}, transition has n={s.n}")
-    st = _transpose(s.rows)
+    st = tuple(zip(*s.rows))
     return SymmetricMatrix(_matmul(_matmul(st, a.rows), s.rows))
 
 
@@ -385,7 +374,7 @@ def congruence_skew(l: SkewMatrix, s: TransitionMatrix) -> SkewMatrix:
     """The transformed matrix S^T L S; skew-symmetry is preserved exactly."""
     if l.n != s.n:
         raise DimensionMismatch(f"skew matrix has n={l.n}, transition has n={s.n}")
-    st = _transpose(s.rows)
+    st = tuple(zip(*s.rows))
     return SkewMatrix.from_full(_matmul(_matmul(st, l.full_rows()), s.rows))
 
 
@@ -526,34 +515,27 @@ def random_skew(n: int, seed: int, bound: int = 10) -> SkewMatrix:
 
 # -- text format helpers ------------------------------------------------------
 
-_FRACTION_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
-_DIGITS_RE = re.compile(r"\d+")
+
+def _read_lines(text: str) -> tuple[int, list[str]]:
+    """n and the other lines of ASCII matrix text, each stripped, blank ones dropped."""
+    _check_ascii(text, MatrixParseError)
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise MatrixParseError("empty matrix text")
+    n = _parse_digits(lines[0])
+    if n is None:
+        raise MatrixParseError(f"bad dimension line {lines[0]!r}")
+    if n < 1:
+        raise MatrixParseError("dimension must be at least 1")
+    return n, lines[1:]
 
 
 def _parse_fraction(token: str, memo: dict[str, Fraction]) -> Fraction:
     """The value of a rational token p or p/q, parsed once per memo."""
     value = memo.get(token)
     if value is None:
-        m = _FRACTION_RE.fullmatch(token)
-        if m is None:
+        value = _parse_rational(token)
+        if value is None:
             raise MatrixParseError(f"bad rational literal {token!r}")
-        p, q = m.groups()
-        value = memo[token] = Fraction(int(p), int(q or 1))
+        memo[token] = value
     return value
-
-
-def _digits(token: str) -> int:
-    """int(token) for a token of digits only: no sign, no '_', no spaces."""
-    if not _DIGITS_RE.fullmatch(token):
-        raise ValueError(f"not a digit string: {token!r}")
-    return int(token)
-
-
-def _parse_dimension(token: str) -> int:
-    try:
-        n = _digits(token)
-    except ValueError as exc:
-        raise MatrixParseError(f"bad dimension line {token!r}") from exc
-    if n < 1:
-        raise MatrixParseError("dimension must be at least 1")
-    return n

@@ -69,8 +69,40 @@ Monomial = tuple
 
 _ONE_MONO: Monomial = ()
 
-_VAR_RE = re.compile(r"^l(\d+)_(\d+)(?:\^(\d+))?$")
-_NUM_RE = re.compile(r"^\d+(?:/0*[1-9]\d*)?$")
+# The number grammar of matrix files and polynomial text, ASCII only ([0-9],
+# not \d): a digit string, and a rational p or p/q, q neither 0 nor led by a 0.
+# Polynomial coefficients take no sign: their signs stand between the terms.
+_DIGITS = "[0-9]+"
+_DIGITS_RE = re.compile(_DIGITS)
+_RATIONAL_RE = re.compile(rf"([+-]?{_DIGITS})(?:/([1-9][0-9]*))?")
+_VAR_RE = re.compile(rf"l({_DIGITS})_({_DIGITS})(?:\^({_DIGITS}))?")
+
+
+def _check_ascii(text: str, error: type[ValueError]) -> None:
+    """Raise error, naming the first non-ASCII character, unless text is ASCII."""
+    if not text.isascii():
+        at = next(k for k, ch in enumerate(text) if not ch.isascii())
+        line = text.count("\n", 0, at) + 1
+        raise error(f"non-ASCII character U+{ord(text[at]):04X} on line {line}")
+
+
+def _parse_digits(token: str) -> int | None:
+    """int(token) for a digit string, or None; also None past the int string limit."""
+    try:
+        return int(token) if _DIGITS_RE.fullmatch(token) else None
+    except ValueError:
+        return None
+
+
+def _parse_rational(token: str, signed: bool = True) -> Fraction | None:
+    """The value of a rational token p or p/q, or None if it breaks the rule.
+
+    Unlike a digit string, a rational past the int string limit raises ValueError.
+    """
+    m = _RATIONAL_RE.fullmatch(token)
+    if m is None or (not signed and token[0] in "+-"):
+        return None
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -82,29 +114,11 @@ def _as_fraction(value: Scalar) -> Fraction:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Merge two sorted exponent tuples, adding exponents of shared variables."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    ia, ib = 0, 0
-    while ia < len(a) and ib < len(b):
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        if va == vb:
-            out.append((va, ea + eb))
-            ia += 1
-            ib += 1
-        elif va < vb:
-            out.append((va, ea))
-            ia += 1
-        else:
-            out.append((vb, eb))
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
+    """The product of two monomials: exponents of shared variables added."""
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
 
 
 def mono_degree(m: Monomial) -> int:
@@ -401,31 +415,27 @@ class MultiPoly:
 
     @classmethod
     def parse(cls, text: str) -> "MultiPoly":
-        """Parse the canonical grammar produced by str(); inverse of printing."""
+        """Parse the canonical grammar produced by str(); inverse of printing.
+
+        The text must be ASCII.  Indices and exponents are digit strings and
+        coefficients unsigned rationals, by the rules matrix files use, so
+        1/01 is refused here as it is there.
+        """
+        _check_ascii(text, PolyParseError)
         s = text.strip()
         if not s:
             raise PolyParseError("empty polynomial text")
-        if s == "0":
-            return cls.zero()
+        first, s = (-1, s[1:]) if s.startswith("-") else (1, s)
         parts = re.split(r"\s+([+-])\s+", s)
+        signs = [first] + [1 if op == "+" else -1 for op in parts[1::2]]
         terms: list[tuple[Monomial, Fraction]] = []
-        sign = 1
-        chunk = parts[0]
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        queue = [(sign, chunk)]
-        for k in range(1, len(parts), 2):
-            queue.append((1 if parts[k] == "+" else -1, parts[k + 1]))
-        for sign, chunk in queue:
+        for sign, chunk in zip(signs, parts[::2]):
             coeff = Fraction(sign)
             exps: dict[Var, int] = {}
-            for factor in chunk.split("*"):
-                factor = factor.strip()
-                m = _VAR_RE.match(factor)
+            for factor in map(str.strip, chunk.split("*")):
+                m = _VAR_RE.fullmatch(factor)
                 if m:
-                    i, j, e = int(m.group(1)), int(m.group(2)), m.group(3)
-                    e = int(e) if e is not None else 1
+                    i, j, e = (int(g or 1) for g in m.groups())
                     if e < 1:
                         raise PolyParseError(f"bad exponent in {factor!r}")
                     try:
@@ -433,8 +443,8 @@ class MultiPoly:
                     except ValueError as exc:
                         raise PolyParseError(str(exc)) from exc
                     exps[v] = exps.get(v, 0) + e
-                elif _NUM_RE.match(factor):
-                    coeff *= Fraction(factor)
+                elif (value := _parse_rational(factor, signed=False)) is not None:
+                    coeff *= value
                 else:
                     raise PolyParseError(f"bad factor {factor!r}")
             terms.append((tuple(sorted(exps.items())), coeff))

@@ -276,6 +276,27 @@ def test_huge_skew_index_is_input_error(files, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+
+@pytest.mark.parametrize("data, reason", [
+    ("2\n1 0\n0 \u0663\n".encode(), "non-ASCII character U+0663 on line "),
+    ("2\n1 0\n0 1/1\u0662\n".encode(), "non-ASCII character U+0662 on line "),
+    ("\uff12\n1 0\n0 1\n".encode(), "non-ASCII character U+FF12 on line 1"),
+    ("2\u20281 0\n0 1\n".encode(), "non-ASCII character U+2028 on line 1"),
+    (b"2\n1 0\n0 \xff\n", "'utf-8' codec can't decode byte 0xff"),
+], ids=["arabic_indic_digit", "digit_in_denominator", "fullwidth_dimension",
+        "line_separator", "not_utf8"])
+def test_non_ascii_matrix_file_is_input_error(files, tmp_path, capsys, data, reason):
+    path = tmp_path / "form.txt"
+    path.write_bytes(data)
+    skew = tmp_path / "skew.txt"  # the same bytes, the last token a skew value
+    skew.write_bytes(data.replace(b"2\n1 0\n0 ", b"2\n1 2 "))
+    for argv, bad in ((["classify", str(path)], path),
+                      (["eval", files["id2"], str(skew)], skew)):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and reason in err
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 0

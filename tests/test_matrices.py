@@ -1,6 +1,7 @@
 """Tests for exact matrices, congruence transforms and diagonalization."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -324,6 +325,47 @@ def test_rejected_rational_literals(token):
     with pytest.raises(MatrixParseError, match="bad rational literal"):
         SkewMatrix.from_text(f"2\n1 2 {token}\n")
 
+
+
+# Unicode digits and separators that \d, str.split() and splitlines() accept:
+# the grammar is ASCII, so each is refused wherever it stands.
+_NON_ASCII = {"arabic_indic_3": "\u0663", "devanagari_5": "\u096b",
+              "fullwidth_5": "\uff15", "nbsp": "\u00a0", "line_sep": "\u2028"}
+
+
+@pytest.mark.parametrize("name", _NON_ASCII)
+@pytest.mark.parametrize("reader, text, line", [
+    (SymmetricMatrix, "2{}\n1 0\n0 1\n", 1),
+    (SymmetricMatrix, "2\n1{}0\n0 1\n", 2),
+    (SymmetricMatrix, "2\n1 0\n0 1/1{}\n", 3),
+    (SkewMatrix, "{}3\n1 2 1\n", 1),
+    (SkewMatrix, "3\n1 2{} 1\n", 2),
+    (SkewMatrix, "3\n1 2 1/1{}\n", 2),
+], ids=["sym_dimension", "sym_separator", "sym_value", "skew_dimension", "skew_index",
+        "skew_value"])
+def test_non_ascii_text_is_refused(name, reader, text, line):
+    ch = _NON_ASCII[name]
+    message = f"^non-ASCII character U\\+{ord(ch):04X} on line {line}$"
+    with pytest.raises(MatrixParseError, match=message):
+        reader.from_text(text.format(ch))
+
+
+def test_ascii_whitespace_and_leading_zeros_still_parse():
+    assert SymmetricMatrix.from_text("\t2\r\n1  0\n\n0\t01/12 \n") == \
+        SymmetricMatrix.diagonal([1, Fraction(1, 12)])
+    assert SkewMatrix.from_text("03\n 01 003 -2/4 \n").upper == {Var(1, 3): Fraction(-1, 2)}
+
+
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_LIMIT, reason="interpreter has no int string-length limit")
+def test_digit_string_past_the_int_limit_is_a_parse_error():
+    huge = "7" * (_INT_LIMIT + 1)
+    with pytest.raises(MatrixParseError, match="^bad dimension line "):
+        SymmetricMatrix.from_text(f"{huge}\n1\n")
+    with pytest.raises(MatrixParseError, match="^bad indices in "):
+        SkewMatrix.from_text(f"3\n1 {huge} 5\n")
 
 def test_mirror_spelled_differently_is_symmetric():
     a = SymmetricMatrix.from_text("2\n1 1/2\n2/4 1\n")

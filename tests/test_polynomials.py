@@ -147,6 +147,30 @@ def test_parse_rejects_garbage():
             MultiPoly.parse(text)
 
 
+
+@pytest.mark.parametrize("text, message", [
+    ("l\u0661_\u0662", "non-ASCII character U+0661 on line 1"),
+    ("\u0663*l1_2", "non-ASCII character U+0663 on line 1"),
+    ("1 + \uff15*l1_2", "non-ASCII character U+FF15 on line 1"),
+    ("1\u00a0+ l1_2", "non-ASCII character U+00A0 on line 1"),
+    ("1/01", "bad factor '1/01'"),
+    ("2/001*l1_2", "bad factor '2/001'"),
+    ("1 + +3*l1_2", "bad factor '+3'"),
+], ids=["digit_in_index", "digit_in_coefficient", "fullwidth_digit", "nbsp", "1/01",
+        "2/001", "signed_coefficient"])
+def test_parse_uses_the_ascii_file_grammar_without_sign(text, message):
+    # Coefficients follow the matrix file rule for rationals, minus the sign:
+    # 1/01 is refused here as it is in a matrix file.
+    with pytest.raises(PolyParseError) as exc:
+        MultiPoly.parse(text)
+    assert str(exc.value) == message
+
+
+def test_parse_accepts_what_the_file_grammar_accepts():
+    assert MultiPoly.parse("02/4*l01_002^02") == MultiPoly.parse("1/2*l1_2^2")
+    assert MultiPoly.parse("-0") == MultiPoly.parse("0") == MultiPoly.zero()
+    assert MultiPoly.parse("- 1") == MultiPoly.constant(-1)
+
 def test_degree_queries():
     p = lam(1, 2) ** 2 * lam(1, 3) + lam(2, 3)
     assert p.total_degree() == 3
