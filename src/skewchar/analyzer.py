@@ -43,6 +43,7 @@ from .matrices import (
     SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
+    _integer_rows,
     _random_entries,
     _scaled_det,
     congruence_sym,
@@ -534,13 +535,15 @@ def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,
 
     Trial k draws L as random_skew(a.n, seed + k, bound) does, but hands the
     integer draws straight to the determinant kernel: a trial builds no
-    Fraction, Var or SkewMatrix.
+    Fraction, Var or SkewMatrix.  A is scaled to integer rows once per call
+    (_integer_rows), so a trial only folds in its draws and eliminates.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    int_rows = _integer_rows(a.rows)
     positives = negatives = zeros = 0
     for k in range(1, trials + 1):
-        value = _scaled_det(a.rows, _random_entries(a.n, seed + k, bound))
+        value = _scaled_det(int_rows, _random_entries(a.n, seed + k, bound))
         if value > 0:
             positives += 1
         elif value < 0:

@@ -39,6 +39,7 @@ from .matrices import (
     DimensionMismatch,
     SkewMatrix,
     SymmetricMatrix,
+    _integer_rows,
     _scaled_det,
     lagrange_diagonalize,
     random_skew,
@@ -76,8 +77,9 @@ def eval_skewchar(a: SymmetricMatrix, l: SkewMatrix) -> Fraction:
     """
     if a.n != l.n:
         raise DimensionMismatch(f"form has n={a.n}, skew matrix has n={l.n}")
-    return _scaled_det(a.rows, [(v.i - 1, v.j - 1, c.numerator, c.denominator)
-                                for v, c in l.upper.items()])
+    return _scaled_det(_integer_rows(a.rows),
+                       [(v.i - 1, v.j - 1, c.numerator, c.denominator)
+                        for v, c in l.upper.items()])
 
 
 def pfaffian(l: SkewMatrix) -> Fraction:

@@ -2,10 +2,14 @@
 
 Everything here is immutable after construction and all arithmetic is exact.
 Every rational determinant, det_rational and det(A - L) in engine and
-analyzer alike, goes through one kernel, _scaled_det: it scales each row to
-integers by the lcm of that row's denominators, working on int numerators
-and denominators, and runs fraction-free (Bareiss) elimination.  Congruence
-diagonalization never introduces square roots: one routine,
+analyzer alike, goes through one kernel in two steps.  _integer_rows scales
+each row a_i of the form to the int row c_i * a_i, c_i the lcm of that row's
+denominators; it depends on the form alone, so sign_probe runs it once for
+all its trials.  _scaled_det folds in the entries p/q of L from their int
+numerators and denominators, rescaling each row to c = lcm(c_i, q, ...), and
+runs fraction-free (Bareiss) elimination.
+
+Congruence diagonalization never introduces square roots: one routine,
 _congruence_pivots, runs symmetric fraction-free elimination on c*A (c the
 lcm of all denominators) and yields the exact diagonal and the basis
 changes.  signature() reads only the signs of that diagonal;
@@ -14,7 +18,8 @@ lagrange_diagonalize() alone builds the transition matrix S.
 The text readers refuse non-ASCII text, then share one prologue: strip the
 lines, drop blank ones, read the dimension.  Dimensions, indices and values
 follow the ASCII number grammar kept in polynomials, the one polynomial text
-uses too.  Each distinct token is parsed once per file: a memo local to one
+uses too; an error message echoes at most the first 60 characters of a bad
+token or line.  Each distinct token is parsed once per file: a memo local to one
 from_text call maps a token to its Fraction, so equal tokens share one
 object and the symmetry check of a clean file is one tuple comparison that
 mostly compares objects by identity.
@@ -28,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .polynomials import (Scalar, Var, _as_fraction, _check_ascii, _parse_digits,
-                          _parse_rational)
+                          _parse_rational, _shown)
 
 
 class DimensionMismatch(ValueError):
@@ -84,37 +89,51 @@ def _int_bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _scaled_det(rows: Sequence[Sequence[Fraction]], upper: Iterable[tuple]) -> Fraction:
-    """Exact det(R - L) for Fraction rows R and a skew L given by its entries.
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, tuple[int, ...]]]:
+    """Each Fraction row a_i as (c_i, c_i * a_i), c_i the lcm of its denominators.
+
+    The first step of the determinant kernel: it depends on the form alone, so
+    a caller that takes many determinants of one form runs it once.
+    """
+    int_rows = []
+    for row in rows:
+        c = math.lcm(*(x.denominator for x in row))
+        int_rows.append((c, tuple(x.numerator * (c // x.denominator) for x in row)))
+    return int_rows
+
+
+def _scaled_det(int_rows: Sequence[tuple[int, tuple[int, ...]]],
+                upper: Iterable[tuple]) -> Fraction:
+    """Exact det(R - L) for R given by _integer_rows and a skew L given by its entries.
 
     L is a list of (i, j, p, q) tuples, 0-based with i < j: l_ij = p/q and
-    l_ji = -p/q.  Row i of R - L is scaled by c_i, the lcm of the
-    denominators of row i of R and of every q in row i of L, which makes it
-    an integer row built from Python int numerators and denominators alone.
-    The integer matrix goes through Bareiss elimination, and the result is
-    det / prod(c_i).
+    l_ji = -p/q.  Row i of R - L is scaled by c, the lcm of c_i and of every
+    q in row i of L: the cached row c_i * r_i times c // c_i, minus
+    p * (c // q) at each entry of L.  The integer matrix goes through Bareiss
+    elimination, and the result is det / prod(c).
     """
-    in_row: list[list[tuple]] = [[] for _ in rows]
+    in_row: list[list[tuple]] = [[] for _ in int_rows]
     for i, j, p, q in upper:
         in_row[i].append((j, p, q))
         in_row[j].append((i, -p, q))
     scale = 1
-    int_rows: list[list[int]] = []
-    for row, entries in zip(rows, in_row):
-        c = math.lcm(*(x.denominator for x in row), *(q for _, _, q in entries))
-        ints = [x.numerator * (c // x.denominator) for x in row]
+    m: list[list[int]] = []
+    for (c_row, ints), entries in zip(int_rows, in_row):
+        c = math.lcm(c_row, *(q for _, _, q in entries))
+        f = c // c_row
+        row = [x * f for x in ints] if f != 1 else list(ints)
         for k, p, q in entries:
-            ints[k] -= p * (c // q)
+            row[k] -= p * (c // q)
         scale *= c
-        int_rows.append(ints)
-    return Fraction(_int_bareiss_det(int_rows), scale)
+        m.append(row)
+    return Fraction(_int_bareiss_det(m), scale)
 
 
 def det_rational(rows: Sequence[Sequence[Scalar]]) -> Fraction:
     """Exact determinant of a square matrix of rationals: _scaled_det with L = 0."""
     frows = _fraction_rows(rows)
     _check_square(frows)
-    return _scaled_det(frows, ())
+    return _scaled_det(_integer_rows(frows), ())
 
 
 class Signature(NamedTuple):
@@ -294,12 +313,12 @@ class SkewMatrix:
         for ln in lines:
             toks = ln.split()
             if len(toks) != 3:
-                raise MatrixParseError(f"expected 'i j value', got {ln!r}")
+                raise MatrixParseError(f"expected 'i j value', got {_shown(ln)}")
             i, j = _parse_digits(toks[0]), _parse_digits(toks[1])
             if i is None or j is None:
-                raise MatrixParseError(f"bad indices in {ln!r}")
+                raise MatrixParseError(f"bad indices in {_shown(ln)}")
             if not (1 <= i < j <= n):
-                raise MatrixParseError(f"indices must satisfy 1 <= i < j <= {n}: {ln!r}")
+                raise MatrixParseError(f"indices must satisfy 1 <= i < j <= {n}: {_shown(ln)}")
             var = Var(i, j)
             if var in upper:
                 raise MatrixParseError(f"duplicate entry for {var}")
@@ -491,23 +510,36 @@ def _random_entries(n: int, seed: int, bound: int) -> list[tuple[int, int, int, 
     """The draws of random_skew as (i, j, p, q) tuples, 0-based, zero p dropped.
 
     p = randint(-bound, bound) is drawn before q = randint(1, bound), entry by
-    entry in row-major order of the strict upper triangle.
+    entry in row-major order of the strict upper triangle.  Each draw is made
+    as Random.randint makes it, straight from Random(seed).getrandbits: for
+    a span of s values, r = getrandbits(s.bit_length()), drawn again while
+    r >= s.  So the values are those of randint, without its per-call checks.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    rng = random.Random(seed)
-    draws = [
-        (i, j, rng.randint(-bound, bound), rng.randint(1, bound))
-        for i in range(n) for j in range(i + 1, n)
-    ]
-    return [entry for entry in draws if entry[2]]
+    bits = random.Random(seed).getrandbits
+    span_p, span_q = 2 * bound + 1, bound
+    k_p, k_q = span_p.bit_length(), span_q.bit_length()
+    entries = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = bits(k_p)
+            while p >= span_p:
+                p = bits(k_p)
+            q = bits(k_q)
+            while q >= span_q:
+                q = bits(k_q)
+            if p != bound:
+                entries.append((i, j, p - bound, q + 1))
+    return entries
 
 
 def random_skew(n: int, seed: int, bound: int = 10) -> SkewMatrix:
     """Deterministic random skew matrix: each entry p/q with |p| <= bound, 1 <= q <= bound.
 
-    The draws come from _random_entries, which sign_probe hands to the
-    determinant kernel directly without building this matrix.
+    The draws come from _random_entries, the same values Random(seed).randint
+    gives; sign_probe hands them to the determinant kernel directly without
+    building this matrix.
     """
     return SkewMatrix(n, {Var(i + 1, j + 1): Fraction(p, q)
                           for i, j, p, q in _random_entries(n, seed, bound)})
@@ -524,7 +556,7 @@ def _read_lines(text: str) -> tuple[int, list[str]]:
         raise MatrixParseError("empty matrix text")
     n = _parse_digits(lines[0])
     if n is None:
-        raise MatrixParseError(f"bad dimension line {lines[0]!r}")
+        raise MatrixParseError(f"bad dimension line {_shown(lines[0])}")
     if n < 1:
         raise MatrixParseError("dimension must be at least 1")
     return n, lines[1:]
@@ -536,6 +568,6 @@ def _parse_fraction(token: str, memo: dict[str, Fraction]) -> Fraction:
     if value is None:
         value = _parse_rational(token)
         if value is None:
-            raise MatrixParseError(f"bad rational literal {token!r}")
+            raise MatrixParseError(f"bad rational literal {_shown(token)}")
         memo[token] = value
     return value

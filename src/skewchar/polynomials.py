@@ -77,6 +77,9 @@ _DIGITS_RE = re.compile(_DIGITS)
 _RATIONAL_RE = re.compile(rf"([+-]?{_DIGITS})(?:/([1-9][0-9]*))?")
 _VAR_RE = re.compile(rf"l({_DIGITS})_({_DIGITS})(?:\^({_DIGITS}))?")
 
+# Error messages echo at most this much of a bad token or line.
+_SHOWN_CHARS = 60
+
 
 def _check_ascii(text: str, error: type[ValueError]) -> None:
     """Raise error, naming the first non-ASCII character, unless text is ASCII."""
@@ -97,12 +100,22 @@ def _parse_digits(token: str) -> int | None:
 def _parse_rational(token: str, signed: bool = True) -> Fraction | None:
     """The value of a rational token p or p/q, or None if it breaks the rule.
 
-    Unlike a digit string, a rational past the int string limit raises ValueError.
+    Also None past the int string limit, as for a digit string.
     """
     m = _RATIONAL_RE.fullmatch(token)
     if m is None or (not signed and token[0] in "+-"):
         return None
-    return Fraction(int(m[1]), int(m[2] or 1))
+    try:
+        return Fraction(int(m[1]), int(m[2] or 1))
+    except ValueError:
+        return None
+
+
+def _shown(token: str) -> str:
+    """repr of a token for an error message, cut to _SHOWN_CHARS characters."""
+    if len(token) <= _SHOWN_CHARS:
+        return repr(token)
+    return f"{token[:_SHOWN_CHARS]!r}... ({len(token)} characters)"
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -435,9 +448,12 @@ class MultiPoly:
             for factor in map(str.strip, chunk.split("*")):
                 m = _VAR_RE.fullmatch(factor)
                 if m:
-                    i, j, e = (int(g or 1) for g in m.groups())
+                    try:
+                        i, j, e = (int(g or 1) for g in m.groups())
+                    except ValueError:  # a digit string past the int string limit
+                        raise PolyParseError(f"bad factor {_shown(factor)}") from None
                     if e < 1:
-                        raise PolyParseError(f"bad exponent in {factor!r}")
+                        raise PolyParseError(f"bad exponent in {_shown(factor)}")
                     try:
                         v = Var(i, j)
                     except ValueError as exc:
@@ -446,7 +462,7 @@ class MultiPoly:
                 elif (value := _parse_rational(factor, signed=False)) is not None:
                     coeff *= value
                 else:
-                    raise PolyParseError(f"bad factor {factor!r}")
+                    raise PolyParseError(f"bad factor {_shown(factor)}")
             terms.append((tuple(sorted(exps.items())), coeff))
         return cls(terms)
 

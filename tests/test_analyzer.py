@@ -546,7 +546,7 @@ def test_sign_probe_matches_cofactor_oracle(n):
     rng = random.Random(7400 + n)
     forms = [random_symmetric(rng, n, 2), SymmetricMatrix.diagonal([1, -1, 0, 2, -2, 0][:n])]
     for a in forms:
-        for bound in (1, 3):
+        for bound in (1, 3, 10):
             seed = rng.randint(0, 10**6)
             assert sign_probe(a, trials=12, seed=seed, bound=bound) == \
                 oracle_probe(a, 12, seed, bound)

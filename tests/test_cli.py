@@ -251,29 +251,44 @@ def test_main_leaves_no_cyclic_garbage(files, capsys):
 _HUGE = "7" * 5000  # past the default int string-length limit of 4300 digits
 
 
+# The token is echoed cut to its first 60 characters, with its length.
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="interpreter has no int string-length limit")
 @pytest.mark.parametrize("argv_text", [
-    ("classify", f"1\n{_HUGE}\n"),
-    ("classify", f"1\n1/{_HUGE}\n"),
-    ("classify", f"{_HUGE}\n1\n"),
+    ("classify", f"1\n{_HUGE}\n",
+     f"bad rational literal '{'7' * 60}'... (5000 characters)"),
+    ("classify", f"1\n1/{_HUGE}\n",
+     f"bad rational literal '1/{'7' * 58}'... (5002 characters)"),
+    ("classify", f"{_HUGE}\n1\n",
+     f"bad dimension line '{'7' * 60}'... (5000 characters)"),
 ])
 def test_huge_literal_is_input_error(tmp_path, capsys, argv_text):
-    cmd, text = argv_text
+    cmd, text, message = argv_text
     path = tmp_path / "huge.txt"
     path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, [cmd, str(path)])
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int string-length limit")
+def test_huge_skew_value_is_input_error(files, tmp_path, capsys):
+    path = tmp_path / "huge_skew.txt"
+    path.write_text(f"3\n1 2 -{_HUGE}\n", encoding="utf-8")
+    code, out, err = run(capsys, ["eval", files["id3"], str(path)])
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err == (f"error: {path}: bad rational literal '-{'7' * 59}'... "
+                   "(5001 characters)\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int string-length limit")
 def test_huge_skew_index_is_input_error(files, tmp_path, capsys):
     path = tmp_path / "huge_skew.txt"
     path.write_text(f"3\n1 {_HUGE} 5\n", encoding="utf-8")
     code, out, err = run(capsys, ["eval", files["id3"], str(path)])
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: {path}: bad indices in '1 {'7' * 58}'... (5004 characters)\n"
 
 
 

@@ -17,7 +17,7 @@ from generators import (
     random_zero_diagonal,
     scrambled_positive_definite,
 )
-from oracles import lagrange_reference, signature_by_charpoly
+from oracles import cofactor_det, lagrange_reference, signature_by_charpoly
 from skewchar import (
     DimensionMismatch,
     MatrixParseError,
@@ -33,6 +33,7 @@ from skewchar import (
     random_skew,
     signature,
 )
+from skewchar.matrices import _integer_rows, _random_entries, _scaled_det
 
 
 def test_symmetric_constructor_rejects_asymmetry():
@@ -237,6 +238,62 @@ def test_random_skew_draws_golden():
     assert random_skew(4, 0, 1).to_text() == "4\n1 3 -1\n1 4 1\n3 4 1\n"
 
 
+def randint_entries(n, seed, bound):
+    """The reference draws: Random.randint, p before q, row-major, zero p dropped."""
+    rng = random.Random(seed)
+    draws = [(i, j, rng.randint(-bound, bound), rng.randint(1, bound))
+             for i in range(n) for j in range(i + 1, n)]
+    return [d for d in draws if d[2]]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 10, 1000, 2**40])
+def test_random_entries_match_randint(bound):
+    # _random_entries draws from getrandbits by randint's own rejection rule;
+    # this keeps the two equal on every interpreter the tests run on.
+    for n in (1, 2, 5, 9):
+        for seed in range(300):
+            assert _random_entries(n, seed, bound) == randint_entries(n, seed, bound)
+
+
+def oracle_det_minus_skew(rows, upper):
+    """det(R - L) by cofactor expansion, L given as (i, j, p, q) entries."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    for i, j, p, q in upper:
+        m[i][j] -= Fraction(p, q)
+        m[j][i] += Fraction(p, q)
+    return cofactor_det(m)
+
+
+_H = Fraction(1, 2)
+_SPLIT_KERNEL_CASES = {
+    # Every row has its own denominator lcm: 6, 21, 63 and 7.
+    "row_denominators": ([[_H, Fraction(1, 3), 0, 1], [Fraction(1, 3), Fraction(5, 7), 1, 0],
+                          [0, 1, Fraction(4, 9), Fraction(2, 7)], [1, 0, Fraction(2, 7), 3]],
+                         [(0, 1, 3, 4), (1, 3, -5, 6), (2, 3, 1, 9)]),
+    # Row 2 (0-based) has no entry of L: its cached row is used as it is.
+    "row_without_l": ([[1, _H, 2], [_H, 3, Fraction(1, 5)], [2, Fraction(1, 5), Fraction(3, 4)]],
+                      [(0, 1, 7, 3)]),
+    # A zero leading entry of R - L: elimination must swap rows.
+    "zero_leading_entry": ([[0, 1, 2], [1, 0, 3], [2, 3, 1]], [(1, 2, 1, 2)]),
+    # Denominators of L up to 1000, none dividing the rows' own.
+    "large_q": ([[Fraction(1, 3), 1, 0], [1, 2, Fraction(1, 6)], [0, Fraction(1, 6), 5]],
+                [(0, 1, -999, 1000), (0, 2, 13, 997), (1, 2, 500, 999)]),
+    "no_l": ([[_H, 1], [1, Fraction(1, 3)]], []),
+    "singular": ([[1, 2], [2, 4]], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_KERNEL_CASES))
+def test_split_kernel_matches_cofactor_oracle(case):
+    rows, upper = _SPLIT_KERNEL_CASES[case]
+    int_rows = _integer_rows(SymmetricMatrix(rows).rows)
+    expected = oracle_det_minus_skew(rows, upper)
+    assert _scaled_det(int_rows, upper) == expected
+    # The cached rows are left as they were, so a second call agrees.
+    assert int_rows == _integer_rows(SymmetricMatrix(rows).rows)
+    assert _scaled_det(int_rows, upper) == expected
+
+
 @pytest.mark.parametrize("rows", [[], [[1, 2]], [[1, 2], [3]], [[1], [2]]])
 def test_det_rational_rejects_empty_and_non_square(rows):
     with pytest.raises(ValueError, match="square and nonempty"):
@@ -366,6 +423,22 @@ def test_digit_string_past_the_int_limit_is_a_parse_error():
         SymmetricMatrix.from_text(f"{huge}\n1\n")
     with pytest.raises(MatrixParseError, match="^bad indices in "):
         SkewMatrix.from_text(f"3\n1 {huge} 5\n")
+
+
+@pytest.mark.skipif(not _INT_LIMIT, reason="interpreter has no int string-length limit")
+def test_rational_past_the_int_limit_is_a_parse_error():
+    huge = "7" * (_INT_LIMIT + 1)
+    shown = f"'{'7' * 60}'... ({_INT_LIMIT + 1} characters)"
+    for text in (f"1\n{huge}\n", f"1\n-{huge}/3\n", f"1\n1/{huge}\n"):
+        with pytest.raises(MatrixParseError, match="^bad rational literal '"):
+            SymmetricMatrix.from_text(text)
+    with pytest.raises(MatrixParseError) as exc:
+        SymmetricMatrix.from_text(f"1\n{huge}\n")
+    assert str(exc.value) == f"bad rational literal {shown}"
+    with pytest.raises(MatrixParseError) as exc:
+        SkewMatrix.from_text(f"2\n1 2 {huge}\n")
+    assert str(exc.value) == f"bad rational literal {shown}"
+
 
 def test_mirror_spelled_differently_is_symmetric():
     a = SymmetricMatrix.from_text("2\n1 1/2\n2/4 1\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,23 @@ def test_parse_accepts_what_the_file_grammar_accepts():
     assert MultiPoly.parse("02/4*l01_002^02") == MultiPoly.parse("1/2*l1_2^2")
     assert MultiPoly.parse("-0") == MultiPoly.parse("0") == MultiPoly.zero()
     assert MultiPoly.parse("- 1") == MultiPoly.constant(-1)
+
+_HUGE = "7" * 5000  # past the default int string-length limit of 4300 digits
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int string-length limit")
+@pytest.mark.parametrize("text, shown", [
+    (_HUGE, f"'{'7' * 60}'... (5000 characters)"),
+    (f"1 + 1/{_HUGE}*l1_2", f"'1/{'7' * 58}'... (5002 characters)"),
+    (f"l1_{_HUGE}", f"'l1_{'7' * 57}'... (5003 characters)"),
+    (f"l1_2^{_HUGE}", f"'l1_2^{'7' * 55}'... (5005 characters)"),
+], ids=["coefficient", "denominator", "index", "exponent"])
+def test_parse_past_the_int_limit_is_a_parse_error(text, shown):
+    with pytest.raises(PolyParseError) as exc:
+        MultiPoly.parse(text)
+    assert str(exc.value) == f"bad factor {shown}"
+
 
 def test_degree_queries():
     p = lam(1, 2) ** 2 * lam(1, 3) + lam(2, 3)
