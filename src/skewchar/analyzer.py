@@ -32,10 +32,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .engine import eval_skewchar
 from .matrices import (
@@ -99,8 +98,7 @@ class PredictedSign(str, Enum):
     NOT_SIGN_DEFINITE = "NotSignDefinite"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Skew matrices pinning down the sign behaviour of det(A - L).
 
     lambda_zero satisfies det(A - lambda_zero) = 0 exactly; it is None only
@@ -121,8 +119,7 @@ class Witness:
     anisotropic_at: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     verdict: Verdict
     signature: Signature
     predicted_sign: PredictedSign
@@ -150,8 +147,7 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     positives: int
     negatives: int
     zeros: int

@@ -13,6 +13,8 @@ The argument parser is built once per process (build_parser is cached), so
 repeated in-process calls of main() neither rebuild it nor leave its
 reference cycles behind as garbage.  Matrix files are read by the
 from_text methods of matrices, which parse each distinct token once per file.
+A command line call starts a fresh interpreter, so only the selftest
+subcommand imports (and compiles) the selftest module.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .engine import (
     expand_skewchar,
 )
 from .matrices import MatrixParseError, SkewMatrix, SymmetricMatrix
-from .selftest import run_selftest
 
 
 class _InputError(Exception):
@@ -110,6 +111,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest
     failures = run_selftest()
     return 1 if failures else 0
 

@@ -30,10 +30,9 @@ DEFAULT_MAX_DIM stays 7 all the same: certify_positive at n=8 takes about
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .matrices import (
     DimensionMismatch,
@@ -133,8 +132,7 @@ def sub_pfaffian_poly(n: int, subset: Sequence[int]) -> MultiPoly:
                            for mono, c in _unpack(k, root, 1).items()})
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A positivity certificate: det(A - L) = sum of weight * square_root^2.
 
     All weights are strictly positive rationals and the empty-subset root is

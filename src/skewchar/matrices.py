@@ -19,10 +19,10 @@ The text readers refuse non-ASCII text, then share one prologue: strip the
 lines, drop blank ones, read the dimension.  Dimensions, indices and values
 follow the ASCII number grammar kept in polynomials, the one polynomial text
 uses too; an error message echoes at most the first 60 characters of a bad
-token or line.  Each distinct token is parsed once per file: a memo local to one
-from_text call maps a token to its Fraction, so equal tokens share one
-object and the symmetry check of a clean file is one tuple comparison that
-mostly compares objects by identity.
+token or line, or of the dimension.  Each distinct token is parsed once per
+file: a memo local to one from_text call maps a token to its Fraction, so
+equal tokens share one object and the symmetry check of a clean file is one
+tuple comparison that mostly compares objects by identity.
 """
 
 from __future__ import annotations
@@ -208,13 +208,15 @@ class SymmetricMatrix:
         """Read the symmetric file format; each distinct token is parsed once."""
         n, lines = _read_lines(text)
         if len(lines) != n:
-            raise MatrixParseError(f"expected {n} rows, found {len(lines)}")
+            raise MatrixParseError(
+                f"expected {_shown(str(n), quote=False)} rows, found {len(lines)}")
         rows = []
         memo: dict[str, Fraction] = {}
         for ln in lines:
             toks = ln.split()
             if len(toks) != n:
-                raise MatrixParseError(f"expected {n} entries per row, got {len(toks)}")
+                raise MatrixParseError(f"expected {_shown(str(n), quote=False)} "
+                                       f"entries per row, got {len(toks)}")
             rows.append([_parse_fraction(t, memo) for t in toks])
         try:
             return cls(rows)
@@ -318,7 +320,8 @@ class SkewMatrix:
             if i is None or j is None:
                 raise MatrixParseError(f"bad indices in {_shown(ln)}")
             if not (1 <= i < j <= n):
-                raise MatrixParseError(f"indices must satisfy 1 <= i < j <= {n}: {_shown(ln)}")
+                raise MatrixParseError("indices must satisfy 1 <= i < j <= "
+                                       f"{_shown(str(n), quote=False)}: {_shown(ln)}")
             var = Var(i, j)
             if var in upper:
                 raise MatrixParseError(f"duplicate entry for {var}")

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -42,22 +41,32 @@ class PolyParseError(ValueError):
     """Text does not conform to the canonical polynomial grammar."""
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    """The variable attached to the ordered index pair (i, j), printed l<i>_<j>.
-
-    Only strict upper-triangle pairs exist: 1 <= i < j.  The mirrored pair
-    (j, i) is never a variable; construction sites negate instead.
-    """
-
+class _Pair(NamedTuple):
     i: int
     j: int
 
-    def __post_init__(self) -> None:
-        if type(self.i) is not int or type(self.j) is not int:
-            raise TypeError(f"variable indices must be ints, got ({self.i!r}, {self.j!r})")
-        if not (1 <= self.i < self.j):
-            raise ValueError(f"variable indices need 1 <= i < j, got ({self.i}, {self.j})")
+
+class Var(_Pair):
+    """The variable attached to the ordered index pair (i, j), printed l<i>_<j>.
+
+    Only strict upper-triangle pairs exist: 1 <= i < j.  The mirrored pair
+    (j, i) is never a variable; construction sites negate instead.  A Var is
+    the tuple (i, j): it hashes, orders and compares equal as that tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int) -> "Var":
+        if type(i) is not int or type(j) is not int:
+            raise TypeError(f"variable indices must be ints, got ({i!r}, {j!r})")
+        if not (1 <= i < j):
+            raise ValueError(f"variable indices need 1 <= i < j, got ({i}, {j})")
+        return tuple.__new__(cls, (i, j))
+
+    @classmethod
+    def _make(cls, iterable) -> "Var":
+        # _replace builds through _make, so both keep the index checks.
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"l{self.i}_{self.j}"
@@ -111,11 +120,15 @@ def _parse_rational(token: str, signed: bool = True) -> Fraction | None:
         return None
 
 
-def _shown(token: str) -> str:
-    """repr of a token for an error message, cut to _SHOWN_CHARS characters."""
+def _shown(token: str, quote: bool = True) -> str:
+    """A token for an error message, cut to _SHOWN_CHARS characters.
+
+    Its repr, or with quote=False the token as it is (a number).
+    """
+    show = repr if quote else str
     if len(token) <= _SHOWN_CHARS:
-        return repr(token)
-    return f"{token[:_SHOWN_CHARS]!r}... ({len(token)} characters)"
+        return show(token)
+    return f"{show(token[:_SHOWN_CHARS])}... ({len(token)} characters)"
 
 
 def _as_fraction(value: Scalar) -> Fraction:

@@ -18,6 +18,7 @@ from generators import (
 from oracles import cofactor_det
 from skewchar import (
     AnisotropicForm,
+    ClassificationReport,
     NotIndefinite,
     PredictedSign,
     ProbeReport,
@@ -27,6 +28,7 @@ from skewchar import (
     TransitionMatrix,
     Var,
     Verdict,
+    Witness,
     WitnessSearchExhausted,
     classify,
     congruence_sym,
@@ -145,6 +147,19 @@ def test_report_serialization_definite():
         "signature: 4 0 0\n"
         "predicted_sign: AlwaysPositive\n"
     )
+
+
+def test_report_records_are_frozen():
+    report = classify(SymmetricMatrix.diagonal([1, -1]))
+    probe = sign_probe(SymmetricMatrix.identity(2), trials=3, seed=1)
+    assert isinstance(report, ClassificationReport)
+    assert isinstance(report.witness, Witness) and isinstance(probe, ProbeReport)
+    for record, field in ((report, "verdict"), (report, "witness"),
+                          (report.witness, "lambda_zero"),
+                          (report.witness, "anisotropic_at"), (probe, "zeros")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert report.witness.value_zero == 0 and probe.zeros == 0
 
 
 # -- witnesses --------------------------------------------------------------------

@@ -292,6 +292,26 @@ def test_huge_skew_index_is_input_error(files, tmp_path, capsys):
 
 
 
+# A dimension of 60 digits or fewer is echoed whole; a longer one is cut to
+# its first 60 digits and its length, so stderr stays short.
+@pytest.mark.parametrize("digits", [60, 4000])
+@pytest.mark.parametrize("reader", ["symmetric", "skew"])
+def test_dimension_echo_is_bounded(files, tmp_path, capsys, reader, digits):
+    dim = "7" * digits
+    shown = dim if digits <= 60 else f"{'7' * 60}... ({digits} characters)"
+    path = tmp_path / f"{reader}.txt"
+    if reader == "symmetric":
+        path.write_text(f"{dim}\n1\n", encoding="utf-8")
+        argv, message = ["classify", str(path)], f"expected {shown} rows, found 1"
+    else:
+        path.write_text(f"{dim}\n2 1 5\n", encoding="utf-8")
+        argv = ["eval", files["id2"], str(path)]
+        message = f"indices must satisfy 1 <= i < j <= {shown}: '2 1 5'"
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+    assert len(err) <= len(str(path)) + 150
+
+
 @pytest.mark.parametrize("data, reason", [
     ("2\n1 0\n0 \u0663\n".encode(), "non-ASCII character U+0663 on line "),
     ("2\n1 0\n0 1/1\u0662\n".encode(), "non-ASCII character U+0662 on line "),

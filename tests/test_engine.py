@@ -541,3 +541,5 @@ def test_certificate_is_frozen_record():
     assert isinstance(cert, Certificate)
     with pytest.raises(AttributeError):
         cert.n = 3
+    with pytest.raises(AttributeError):
+        cert.terms = ()

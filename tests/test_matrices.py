@@ -358,6 +358,17 @@ def test_skew_parse_errors(text):
         SkewMatrix.from_text(text)
 
 
+@pytest.mark.parametrize("reader, text, message", [
+    (SymmetricMatrix, "2\n1 2 3\n", "expected 2 rows, found 1"),
+    (SymmetricMatrix, "2\n1 2 3\n3 4\n", "expected 2 entries per row, got 3"),
+    (SkewMatrix, "12\n1 13 5\n", "indices must satisfy 1 <= i < j <= 12: '1 13 5'"),
+])
+def test_short_dimension_is_echoed_whole(reader, text, message):
+    with pytest.raises(MatrixParseError) as exc:
+        reader.from_text(text)
+    assert str(exc.value) == message
+
+
 # -- grammar goldens: each pinned to the behaviour of the reader before the
 # memoized token parser replaced Fraction(str) ------------------------------
 

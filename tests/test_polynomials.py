@@ -36,6 +36,45 @@ def test_var_validation():
             Var(i, j)
 
 
+@pytest.mark.parametrize("i, j, error, message", [
+    (True, 2, TypeError, "variable indices must be ints, got (True, 2)"),
+    (1.0, 2, TypeError, "variable indices must be ints, got (1.0, 2)"),
+    (2, 1, ValueError, "variable indices need 1 <= i < j, got (2, 1)"),
+])
+def test_var_refusal_messages(i, j, error, message):
+    with pytest.raises(error) as info:
+        Var(i, j)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_var_text_order_hash_and_immutability():
+    v = Var(1, 2)
+    assert (str(v), repr(v)) == ("l1_2", "Var(i=1, j=2)")
+    assert repr(Var(3, 10)) == "Var(i=3, j=10)"
+    assert hash(v) == hash((1, 2)) and hash(Var(3, 10)) == hash((3, 10))
+    shuffled = [Var(2, 3), Var(1, 10), Var(1, 2), Var(3, 4), Var(1, 3)]
+    assert sorted(shuffled) == [Var(1, 2), Var(1, 3), Var(1, 10), Var(2, 3), Var(3, 4)]
+    assert Var(1, 3) < Var(2, 3) and not Var(1, 2) < Var(1, 2)
+    with pytest.raises(AttributeError):
+        v.i = 5
+    with pytest.raises(AttributeError):
+        v.k = 5
+    assert (v.i, v.j) == (1, 2)
+
+
+def test_var_is_its_index_tuple():
+    # Var is a NamedTuple: equal to, and interchangeable as a key with, (i, j).
+    assert Var(1, 2) == (1, 2) and Var(1, 2) != (2, 1)
+    assert {(1, 2): "x"}[Var(1, 2)] == "x"
+    assert tuple(Var(3, 10)) == (3, 10)
+    # The tuple constructors keep the index checks.
+    assert Var._make((1, 3)) == Var(1, 3) and Var(1, 2)._replace(j=5) == Var(1, 5)
+    with pytest.raises(ValueError):
+        Var(1, 2)._replace(i=5)
+    with pytest.raises(TypeError):
+        Var._make((True, 2))
+
+
 def test_monomial_exponents_must_be_nonnegative_ints():
     # Refused, not truncated: 0.5 must not become a stored zero exponent.
     for e in (1.5, 0.5, 2.0, True):

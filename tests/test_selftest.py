@@ -58,3 +58,25 @@ def test_broken_evaluator_fails_with_and_without_optimize(flags):
     lines = out.splitlines()
     assert lines[0] == f"optimize {len(flags)}"
     assert lines[-1] == "selftest: 3 passed, 7 failed"
+
+
+# What `import skewchar.cli` adds to a fresh interpreter, among the modules a
+# CLI start must not pay for: dataclasses (with inspect, ast, dis, ...) and the
+# selftest, which only the selftest subcommand imports.
+_CLI_IMPORTS = """
+import sys
+before = set(sys.modules)
+import skewchar.cli
+print(sorted({"dataclasses", "skewchar.selftest"} & (set(sys.modules) - before)))
+"""
+
+
+def test_cli_start_imports_neither_dataclasses_nor_selftest():
+    src = os.path.dirname(os.path.dirname(skewchar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _CLI_IMPORTS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+    out = subprocess.run([sys.executable, "-m", "skewchar", "selftest"], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "selftest: 10 passed, 0 failed"
