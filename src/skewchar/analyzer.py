@@ -42,9 +42,9 @@ from .matrices import (
     SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
-    _integer_rows,
     _random_entries,
     _scaled_det,
+    _scaled_matrix,
     congruence_sym,
     lagrange_diagonalize,
     signature,
@@ -393,8 +393,7 @@ def _searched_isotropic(a: SymmetricMatrix):
         if y is not None:
             return _matvec(p.rows, _matvec(s3.rows, y))
 
-    scale = math.lcm(*(x.denominator for row in a.rows for x in row))
-    int_rows = [[x.numerator * (scale // x.denominator) for x in row] for row in a.rows]
+    _, int_rows = _scaled_matrix(a)
     for bound in _enumeration_bounds(n):
         sol = _enumerate_isotropic(int_rows, bound)
         if sol is not None:
@@ -531,15 +530,14 @@ def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,
 
     Trial k draws L as random_skew(a.n, seed + k, bound) does, but hands the
     integer draws straight to the determinant kernel: a trial builds no
-    Fraction, Var or SkewMatrix.  A is scaled to integer rows once per call
-    (_integer_rows), so a trial only folds in its draws and eliminates.
+    Fraction, Var or SkewMatrix.  A is stored as the kernel's integer rows,
+    so a trial only folds in its draws and eliminates.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    int_rows = _integer_rows(a.rows)
     positives = negatives = zeros = 0
     for k in range(1, trials + 1):
-        value = _scaled_det(int_rows, _random_entries(a.n, seed + k, bound))
+        value = _scaled_det(a.int_rows, _random_entries(a.n, seed + k, bound))
         if value > 0:
             positives += 1
         elif value < 0:

@@ -38,7 +38,6 @@ from .matrices import (
     DimensionMismatch,
     SkewMatrix,
     SymmetricMatrix,
-    _integer_rows,
     _scaled_det,
     lagrange_diagonalize,
     random_skew,
@@ -71,14 +70,12 @@ class NotPositiveDefinite(ValueError):
 def eval_skewchar(a: SymmetricMatrix, l: SkewMatrix) -> Fraction:
     """Exact value det(A - L) at a concrete skew matrix.
 
-    A's rows and L's upper-triangle numerators and denominators go straight
-    to the integer determinant kernel; no Fraction is built per entry.
+    A's int_rows and L's entries are the determinant kernel's own input, so
+    they go to it as stored; no Fraction is built per entry.
     """
     if a.n != l.n:
         raise DimensionMismatch(f"form has n={a.n}, skew matrix has n={l.n}")
-    return _scaled_det(_integer_rows(a.rows),
-                       [(v.i - 1, v.j - 1, c.numerator, c.denominator)
-                        for v, c in l.upper.items()])
+    return _scaled_det(a.int_rows, l.entries)
 
 
 def pfaffian(l: SkewMatrix) -> Fraction:

@@ -2,17 +2,19 @@
 
 Everything here is immutable after construction and all arithmetic is exact.
 Every rational determinant, det_rational and det(A - L) in engine and
-analyzer alike, goes through one kernel in two steps.  _integer_rows scales
-each row a_i of the form to the int row c_i * a_i, c_i the lcm of that row's
-denominators; it depends on the form alone, so sign_probe runs it once for
-all its trials.  _scaled_det folds in the entries p/q of L from their int
-numerators and denominators, rescaling each row to c = lcm(c_i, q, ...), and
-runs fraction-free (Bareiss) elimination.
+analyzer alike, goes through one integer kernel, _scaled_det, and the two
+matrix classes store its input.  SymmetricMatrix.int_rows holds row a_i as
+(c_i, c_i * a_i), c_i the lcm of its denominators, the second an int tuple.
+SkewMatrix.entries holds each nonzero l_ij = p/q, i < j, as (i, j, p, q),
+0-based, p/q reduced, sorted.  Both are canonical, so == and hash read them;
+the Fraction views rows and upper are built on first use.  The kernel
+rescales row i to c = lcm(c_i, q, ...) and runs fraction-free (Bareiss)
+elimination.
 
 Congruence diagonalization never introduces square roots: one routine,
 _congruence_pivots, runs symmetric fraction-free elimination on c*A (c the
-lcm of all denominators) and yields the exact diagonal and the basis
-changes.  signature() reads only the signs of that diagonal;
+lcm of the c_i) once per matrix and keeps the exact diagonal and the basis
+changes on it.  signature() reads only the signs of that diagonal;
 lagrange_diagonalize() alone builds the transition matrix S.
 
 The text readers refuse non-ASCII text, then share one prologue: strip the
@@ -20,9 +22,8 @@ lines, drop blank ones, read the dimension.  Dimensions, indices and values
 follow the ASCII number grammar kept in polynomials, the one polynomial text
 uses too; an error message echoes at most the first 60 characters of a bad
 token or line, or of the dimension.  Each distinct token is parsed once per
-file: a memo local to one from_text call maps a token to its Fraction, so
-equal tokens share one object and the symmetry check of a clean file is one
-tuple comparison that mostly compares objects by identity.
+file, a value into its reduced int pair (p, q), and the stored state is
+built from the pairs: no Fraction or Var per entry.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class MatrixParseError(ValueError):
 
 
 def _fraction_rows(rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(_as_fraction(x) for x in row) for row in rows)
+    return tuple([tuple([_as_fraction(x) for x in row]) for row in rows])
 
 
 def _check_square(rows: tuple[tuple[Fraction, ...], ...]) -> int:
@@ -89,28 +90,22 @@ def _int_bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, tuple[int, ...]]]:
-    """Each Fraction row a_i as (c_i, c_i * a_i), c_i the lcm of its denominators.
-
-    The first step of the determinant kernel: it depends on the form alone, so
-    a caller that takes many determinants of one form runs it once.
-    """
-    int_rows = []
-    for row in rows:
-        c = math.lcm(*(x.denominator for x in row))
-        int_rows.append((c, tuple(x.numerator * (c // x.denominator) for x in row)))
-    return int_rows
+def _kernel_row(pairs: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """A row of rationals p/q, given as int pairs, as (c, ints): c the lcm of the q."""
+    c = math.lcm(*[q for _, q in pairs])
+    return c, tuple([p * (c // q) for p, q in pairs])
 
 
 def _scaled_det(int_rows: Sequence[tuple[int, tuple[int, ...]]],
                 upper: Iterable[tuple]) -> Fraction:
-    """Exact det(R - L) for R given by _integer_rows and a skew L given by its entries.
+    """Exact det(R - L) for R given by its kernel rows and a skew L by its entries.
 
-    L is a list of (i, j, p, q) tuples, 0-based with i < j: l_ij = p/q and
-    l_ji = -p/q.  Row i of R - L is scaled by c, the lcm of c_i and of every
-    q in row i of L: the cached row c_i * r_i times c // c_i, minus
-    p * (c // q) at each entry of L.  The integer matrix goes through Bareiss
-    elimination, and the result is det / prod(c).
+    Row i of R is (c_i, c_i * r_i), as in SymmetricMatrix.int_rows.  L is a
+    list of (i, j, p, q) tuples, 0-based with i < j: l_ij = p/q and
+    l_ji = -p/q, as in SkewMatrix.entries.  Row i of R - L is scaled by c,
+    the lcm of c_i and of every q in row i of L: the stored row c_i * r_i
+    times c // c_i, minus p * (c // q) at each entry of L.  The integer
+    matrix goes through Bareiss elimination, and the result is det / prod(c).
     """
     in_row: list[list[tuple]] = [[] for _ in int_rows]
     for i, j, p, q in upper:
@@ -133,7 +128,7 @@ def det_rational(rows: Sequence[Sequence[Scalar]]) -> Fraction:
     """Exact determinant of a square matrix of rationals: _scaled_det with L = 0."""
     frows = _fraction_rows(rows)
     _check_square(frows)
-    return _scaled_det(_integer_rows(frows), ())
+    return _scaled_det([_kernel_row([x.as_integer_ratio() for x in row]) for row in frows], ())
 
 
 class Signature(NamedTuple):
@@ -145,19 +140,38 @@ class Signature(NamedTuple):
 
 
 class SymmetricMatrix:
-    """An exact symmetric matrix; symmetry is enforced at construction."""
+    """An exact symmetric matrix; symmetry is enforced at construction.
 
-    __slots__ = ("rows", "n")
+    It stores int_rows (module docstring); rows is a view built on first use.
+    """
+
+    __slots__ = ("n", "int_rows", "_rows", "_pivots")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]) -> None:
         frows = _fraction_rows(rows)
-        n = _check_square(frows)
-        if frows != tuple(zip(*frows)):
+        _check_square(frows)
+        self._store(tuple([tuple([x.as_integer_ratio() for x in row]) for row in frows]),
+                    ValueError)
+        self._rows = frows
+
+    def _store(self, pairs: tuple[tuple[tuple[int, int], ...], ...],
+               error: type[ValueError]) -> None:
+        # Square rows of reduced pairs, equal exactly when their values are.
+        n = len(pairs)
+        if pairs != tuple(zip(*pairs)):
             i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
-                        if frows[i][j] != frows[j][i])
-            raise ValueError(f"not symmetric at ({i + 1}, {j + 1})")
-        self.rows = frows
-        self.n = n
+                        if pairs[i][j] != pairs[j][i])
+            raise error(f"not symmetric at ({i + 1}, {j + 1})")
+        self.n, self.int_rows = n, tuple([_kernel_row(row) for row in pairs])
+        self._rows = self._pivots = None
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions: a view of int_rows, built once."""
+        if self._rows is None:
+            self._rows = tuple([tuple([Fraction(x, c) for x in ints])
+                                for c, ints in self.int_rows])
+        return self._rows
 
     @classmethod
     def identity(cls, n: int) -> "SymmetricMatrix":
@@ -184,16 +198,16 @@ class SymmetricMatrix:
         )
 
     def det(self) -> Fraction:
-        return det_rational(self.rows)
+        return _scaled_det(self.int_rows, ())
 
     def __neg__(self) -> "SymmetricMatrix":
         return SymmetricMatrix([[-x for x in row] for row in self.rows])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymmetricMatrix) and self.rows == other.rows
+        return isinstance(other, SymmetricMatrix) and self.int_rows == other.int_rows
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self.int_rows)
 
     def __repr__(self) -> str:
         return f"SymmetricMatrix({[list(map(str, r)) for r in self.rows]})"
@@ -211,23 +225,28 @@ class SymmetricMatrix:
             raise MatrixParseError(
                 f"expected {_shown(str(n), quote=False)} rows, found {len(lines)}")
         rows = []
-        memo: dict[str, Fraction] = {}
+        memo: dict[str, tuple[int, int] | None] = {}  # token -> its pair, parsed once
         for ln in lines:
             toks = ln.split()
             if len(toks) != n:
                 raise MatrixParseError(f"expected {_shown(str(n), quote=False)} "
                                        f"entries per row, got {len(toks)}")
-            rows.append([_parse_fraction(t, memo) for t in toks])
-        try:
-            return cls(rows)
-        except ValueError as exc:
-            raise MatrixParseError(str(exc)) from exc
+            row = tuple([memo.get(t) or memo.setdefault(t, _parse_rational(t)) for t in toks])
+            if None in row:
+                raise MatrixParseError(f"bad rational literal {_shown(toks[row.index(None)])}")
+            rows.append(row)
+        a = object.__new__(cls)
+        a._store(tuple(rows), MatrixParseError)
+        return a
 
 
 class SkewMatrix:
-    """An exact skew-symmetric matrix stored by its strict upper triangle."""
+    """An exact skew-symmetric matrix stored by its strict upper triangle.
 
-    __slots__ = ("n", "upper")
+    It stores entries (module docstring); upper is a view built on first use.
+    """
+
+    __slots__ = ("n", "entries", "_upper")
 
     def __init__(self, n: int, upper: dict | Iterable = ()) -> None:
         if n < 1:
@@ -243,14 +262,23 @@ class SkewMatrix:
             if value:
                 store[var] = value
         self.n = n
-        self.upper = store
+        self.entries = tuple(sorted((v.i - 1, v.j - 1, *c.as_integer_ratio())
+                                    for v, c in store.items()))
+        self._upper = None
 
     @classmethod
-    def _trusted(cls, n: int, upper: dict) -> "SkewMatrix":
-        # Trusted path for from_text: upper is already checked, zeros dropped.
+    def _trusted(cls, n: int, entries: tuple) -> "SkewMatrix":
+        # Trusted path: entries are canonical (reduced, nonzero, sorted, in range).
         l = object.__new__(cls)
-        l.n, l.upper = n, upper
+        l.n, l.entries, l._upper = n, entries, None
         return l
+
+    @property
+    def upper(self) -> dict[Var, Fraction]:
+        """The nonzero upper entries by variable: a view of entries, built once."""
+        if self._upper is None:
+            self._upper = {Var(i + 1, j + 1): Fraction(p, q) for i, j, p, q in self.entries}
+        return self._upper
 
     @classmethod
     def zero(cls, n: int) -> "SkewMatrix":
@@ -289,46 +317,49 @@ class SkewMatrix:
         return (
             isinstance(other, SkewMatrix)
             and self.n == other.n
-            and self.upper == other.upper
+            and self.entries == other.entries
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.upper.items())))
+        return hash((self.n, self.entries))
 
     def __repr__(self) -> str:
-        entries = ", ".join(f"{v}={c}" for v, c in sorted(self.upper.items()))
+        entries = ", ".join(f"{v}={c}" for v, c in self.upper.items())
         return f"SkewMatrix(n={self.n}, {entries or 'zero'})"
 
     def to_text(self) -> str:
         lines = [str(self.n)]
-        lines.extend(
-            f"{v.i} {v.j} {c}" for v, c in sorted(self.upper.items())
-        )
+        lines.extend(f"{i + 1} {j + 1} {Fraction(p, q)}" for i, j, p, q in self.entries)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "SkewMatrix":
         """Read the skew file format; each distinct value token is parsed once."""
         n, lines = _read_lines(text)
-        upper: dict[Var, Fraction] = {}
-        memo: dict[str, Fraction] = {}
+        upper: dict[tuple[int, int], tuple[int, int]] = {}
+        # token -> its value, parsed once: an index token recurs on about n lines
+        memo: dict[str, tuple[int, int] | None] = {}
+        index: dict[str, int | None] = {}
         for ln in lines:
             toks = ln.split()
             if len(toks) != 3:
                 raise MatrixParseError(f"expected 'i j value', got {_shown(ln)}")
-            i, j = _parse_digits(toks[0]), _parse_digits(toks[1])
+            a, b, value = toks
+            i = index.get(a) or index.setdefault(a, _parse_digits(a))
+            j = index.get(b) or index.setdefault(b, _parse_digits(b))
             if i is None or j is None:
                 raise MatrixParseError(f"bad indices in {_shown(ln)}")
             if not (1 <= i < j <= n):
                 raise MatrixParseError("indices must satisfy 1 <= i < j <= "
                                        f"{_shown(str(n), quote=False)}: {_shown(ln)}")
-            var = Var(i, j)
-            if var in upper:
-                raise MatrixParseError(f"duplicate entry for {var}")
-            upper[var] = _parse_fraction(toks[2], memo)
-        if not all(upper.values()):
-            upper = {v: c for v, c in upper.items() if c}
-        return cls._trusted(n, upper)
+            if (i, j) in upper:
+                raise MatrixParseError(f"duplicate entry for l{i}_{j}")
+            pair = memo.get(value) or memo.setdefault(value, _parse_rational(value))
+            if pair is None:
+                raise MatrixParseError(f"bad rational literal {_shown(value)}")
+            upper[i, j] = pair
+        return cls._trusted(n, tuple(sorted(
+            (i - 1, j - 1, p, q) for (i, j), (p, q) in upper.items() if p)))
 
 
 class TransitionMatrix:
@@ -400,8 +431,17 @@ def congruence_skew(l: SkewMatrix, s: TransitionMatrix) -> SkewMatrix:
     return SkewMatrix.from_full(_matmul(_matmul(st, l.full_rows()), s.rows))
 
 
-def _congruence_pivots(a: SymmetricMatrix) -> tuple[list[Fraction], list[tuple]]:
+def _scaled_matrix(a: SymmetricMatrix) -> tuple[int, list[list[int]]]:
+    """(c, c*A) for c the lcm of the row scales c_i: c*A as int row lists."""
+    c = math.lcm(*[c_i for c_i, _ in a.int_rows])
+    return c, [[x * (c // c_i) for x in ints] for c_i, ints in a.int_rows]
+
+
+def _congruence_pivots(a: SymmetricMatrix) -> tuple[tuple[Fraction, ...], tuple[tuple, ...]]:
     """Diagonal and basis changes of the congruence reduction S^T A S = D.
+
+    Kept on a, so classify of an indefinite form eliminates once for both
+    the signature and S.
 
     Pivot rules: swap the first nonzero trailing diagonal entry into place;
     if the trailing diagonal is all zero, fold the first nonzero off-diagonal
@@ -417,9 +457,10 @@ def _congruence_pivots(a: SymmetricMatrix) -> tuple[list[Fraction], list[tuple]]
     ("swap", p, q) and ("add", dst, src, num, den), the latter meaning
     e_dst += (num / den) * e_src.
     """
+    if a._pivots is not None:
+        return a._pivots
     n = a.n
-    c = math.lcm(*(x.denominator for row in a.rows for x in row))
-    m = [[x.numerator * (c // x.denominator) for x in row] for row in a.rows]
+    c, m = _scaled_matrix(a)
     diag = [Fraction(0)] * n
     ops: list[tuple] = []
 
@@ -462,7 +503,8 @@ def _congruence_pivots(a: SymmetricMatrix) -> tuple[list[Fraction], list[tuple]]
             for j in range(i, n):
                 m[j][i] = row_i[j] = (pivot_val * row_i[j] - f * row_k[j]) // prev
         prev = pivot_val
-    return diag, ops
+    a._pivots = tuple(diag), tuple(ops)
+    return a._pivots
 
 
 def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, SymmetricMatrix]:
@@ -541,11 +583,17 @@ def random_skew(n: int, seed: int, bound: int = 10) -> SkewMatrix:
     """Deterministic random skew matrix: each entry p/q with |p| <= bound, 1 <= q <= bound.
 
     The draws come from _random_entries, the same values Random(seed).randint
-    gives; sign_probe hands them to the determinant kernel directly without
-    building this matrix.
+    gives, reduced to the canonical entries; sign_probe hands them to the
+    determinant kernel directly without building this matrix.
     """
-    return SkewMatrix(n, {Var(i + 1, j + 1): Fraction(p, q)
-                          for i, j, p, q in _random_entries(n, seed, bound)})
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    # tuple() of a list, not of a generator: a generator's tuple starts at 10
+    # slots and is resized, which leaves one more block in the interpreter's
+    # tuple free list of the final size per call (certify_positive makes 100).
+    return SkewMatrix._trusted(n, tuple([(i, j, p // g, q // g) for i, j, p, q
+                                         in _random_entries(n, seed, bound)
+                                         for g in [math.gcd(p, q)]]))
 
 
 # -- text format helpers ------------------------------------------------------
@@ -563,14 +611,3 @@ def _read_lines(text: str) -> tuple[int, list[str]]:
     if n < 1:
         raise MatrixParseError("dimension must be at least 1")
     return n, lines[1:]
-
-
-def _parse_fraction(token: str, memo: dict[str, Fraction]) -> Fraction:
-    """The value of a rational token p or p/q, parsed once per memo."""
-    value = memo.get(token)
-    if value is None:
-        value = _parse_rational(token)
-        if value is None:
-            raise MatrixParseError(f"bad rational literal {_shown(token)}")
-        memo[token] = value
-    return value

@@ -106,8 +106,8 @@ def _parse_digits(token: str) -> int | None:
         return None
 
 
-def _parse_rational(token: str, signed: bool = True) -> Fraction | None:
-    """The value of a rational token p or p/q, or None if it breaks the rule.
+def _parse_rational(token: str, signed: bool = True) -> tuple[int, int] | None:
+    """The reduced pair (p, q), q > 0, of a rational token p or p/q, or None.
 
     Also None past the int string limit, as for a digit string.
     """
@@ -115,9 +115,11 @@ def _parse_rational(token: str, signed: bool = True) -> Fraction | None:
     if m is None or (not signed and token[0] in "+-"):
         return None
     try:
-        return Fraction(int(m[1]), int(m[2] or 1))
+        p, q = int(m[1]), int(m[2] or 1)
     except ValueError:
         return None
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _shown(token: str, quote: bool = True) -> str:
@@ -473,7 +475,7 @@ class MultiPoly:
                         raise PolyParseError(str(exc)) from exc
                     exps[v] = exps.get(v, 0) + e
                 elif (value := _parse_rational(factor, signed=False)) is not None:
-                    coeff *= value
+                    coeff *= Fraction(*value)
                 else:
                     raise PolyParseError(f"bad factor {_shown(factor)}")
             terms.append((tuple(sorted(exps.items())), coeff))

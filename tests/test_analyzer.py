@@ -36,8 +36,10 @@ from skewchar import (
     lagrange_diagonalize,
     random_skew,
     sign_probe,
+    signature,
     witness_indefinite,
 )
+from skewchar import matrices
 from skewchar.analyzer import _anisotropic_prime, _pair_isotropic
 from skewchar.selftest import crosscheck_classification
 
@@ -89,6 +91,21 @@ def test_classify_indefinite_with_witness():
     w = report.witness
     assert w.lambda_zero == SkewMatrix(2, {Var(1, 2): 1})
     assert (w.value_minus, w.value_zero, w.value_plus) == (-1, 0, 3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_classify_eliminates_an_indefinite_form_once(monkeypatch, seed):
+    # signature and the witness's diagonalization share one congruence
+    # elimination of A; the output is that of witness_indefinite alone.
+    a = random_indefinite(random.Random(seed), 2 + seed % 4)
+    calls = []
+    scale = matrices._scaled_matrix
+    monkeypatch.setattr(matrices, "_scaled_matrix", lambda m: calls.append(m) or scale(m))
+    report = classify(a)
+    assert report.verdict is Verdict.INDEFINITE
+    assert sum(m is a for m in calls) == 1
+    assert report.witness == witness_indefinite(SymmetricMatrix(a.rows))
+    assert report.signature == signature(SymmetricMatrix(a.rows))
 
 
 def test_classify_degenerate():

@@ -2,6 +2,7 @@
 
 import gc
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -216,6 +217,77 @@ def test_probe_header_and_tallies(files, capsys):
         "negatives: 0\n"
         "zeros: 0\n"
     )
+
+
+def _token(num, den):
+    # Spelled as written, not reduced: 2/4 stays 2/4 and 0/3 stays 0/3.
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _form_text(n, entry):
+    """Symmetric file text with entry(i, j), i <= j 1-based, as (num, den)."""
+    rows = (" ".join(_token(*entry(min(i, j), max(i, j))) for j in range(1, n + 1))
+            for i in range(1, n + 1))
+    return f"{n}\n" + "\n".join(rows) + "\n"
+
+
+def _eval_skew_text():
+    lines = [f"{i} {j} {_token(num, den if num else 1)}"
+             for i in range(1, 31) for j in range(i + 1, 31)
+             for num, den in [((i * i + 2 * j) % 9 - 4, (i + 2 * j) % 6 + 1)]]
+    return "30\n" + "\n".join(lines) + "\n"
+
+
+def _degenerate_form_text():
+    """n=24: row and column 24 are the sums of rows and columns 1 and 2."""
+    m = [[Fraction((i + 2 * j + i * j) % 11 - 5, (i + j) % 3 + 1) for j in range(23)]
+         for i in range(23)]
+    m = [[m[min(i, j)][max(i, j)] for j in range(23)] for i in range(23)]
+    last = [m[0][j] + m[1][j] for j in range(23)]
+    rows = [row + [last[i]] for i, row in enumerate(m)]
+    rows.append(last + [last[0] + last[1]])
+    return "24\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n"
+
+
+# Inputs of the dense benchmark's kinds, with the exact stdout of the parent
+# of the change that stored matrices in the determinant kernel's form.
+_DENSE_GOLDENS = {
+    "eval_n30": (
+        "eval", [_form_text(30, lambda i, j: ((3 * i + 5 * j + i * j) % 13 - 6,
+                                              (i + j) % 4 + 1)),
+                 _eval_skew_text()], [],
+        "-10040445885589392088631205464250361618777615074433525202464577715204721787"
+        "/1768591357765866863198208000000000000000000000000\n"),
+    "classify_definite_n18": (
+        "classify", [_form_text(18, lambda i, j: (-60 - i, 1 + i % 2) if i == j
+                                else ((i + j) % 5 - 2, (i * j) % 3 + 2))], [],
+        "verdict: NegativeDefinite\nsignature: 0 18 0\npredicted_sign: AlwaysPositive\n"),
+    "classify_degenerate_n24": (
+        "classify", [_degenerate_form_text()], [],
+        "verdict: Degenerate\nsignature: 12 11 1\npredicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n24\n"),
+    "probe_n12": (
+        "probe", [_form_text(12, lambda i, j: ((2 * i + 3 * j) % 7 - 3, (i * j) % 5 + 1))],
+        ["--trials", "40", "--bound", "10"],
+        "command: probe\nseed: 0\ntrials: 40\nbound: 10\n"
+        "positives: 20\nnegatives: 20\nzeros: 0\n"),
+}
+
+
+def test_dense_goldens_use_the_spellings_they_cover():
+    form, skew = _DENSE_GOLDENS["eval_n30"][1]
+    assert "2/4" in form and " 2/4\n" in skew and " 0\n" in skew
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_GOLDENS))
+def test_dense_golden(tmp_path, capsys, name):
+    command, texts, args, expected = _DENSE_GOLDENS[name]
+    paths = []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"input{k}.txt"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    assert run(capsys, [command, *paths, *args]) == (0, expected, "")
 
 
 def test_byte_identical_reruns(files, capsys):

@@ -33,7 +33,7 @@ from skewchar import (
     random_skew,
     signature,
 )
-from skewchar.matrices import _integer_rows, _random_entries, _scaled_det
+from skewchar.matrices import _random_entries, _scaled_det
 
 
 def test_symmetric_constructor_rejects_asymmetry():
@@ -286,11 +286,11 @@ _SPLIT_KERNEL_CASES = {
 @pytest.mark.parametrize("case", sorted(_SPLIT_KERNEL_CASES))
 def test_split_kernel_matches_cofactor_oracle(case):
     rows, upper = _SPLIT_KERNEL_CASES[case]
-    int_rows = _integer_rows(SymmetricMatrix(rows).rows)
+    int_rows = SymmetricMatrix(rows).int_rows
     expected = oracle_det_minus_skew(rows, upper)
     assert _scaled_det(int_rows, upper) == expected
-    # The cached rows are left as they were, so a second call agrees.
-    assert int_rows == _integer_rows(SymmetricMatrix(rows).rows)
+    # The stored rows are left as they were, so a second call agrees.
+    assert int_rows == SymmetricMatrix(rows).int_rows
     assert _scaled_det(int_rows, upper) == expected
 
 
@@ -518,3 +518,45 @@ def test_text_round_trip_with_repeated_entries(case):
     l = SkewMatrix(n, {Var(i + 1, j + 1): values[i * n + j]
                        for i in range(n) for j in range(i + 1, n)})
     assert SkewMatrix.from_text(l.to_text()) == l
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(_rationals, min_size=n * n, max_size=n * n),
+    st.lists(_spellings, min_size=2 * n * n, max_size=2 * n * n),
+    st.permutations(range(n * (n - 1) // 2)),
+    st.integers(0, 10 ** 6), st.integers(1, 12))))
+def test_kernel_form_is_canonical(case):
+    # Text with non-reduced spellings reads back to the very state the
+    # constructor stores, so ==, hash and every view agree.
+    n, values, spelled, order, seed, bound = case
+    rows = [[values[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    cells = iter(spelled)
+    text = f"{n}\n" + "".join(
+        " ".join(_spell(x, *next(cells)) for x in row) + "\n" for row in rows)
+    a, read = SymmetricMatrix(rows), SymmetricMatrix.from_text(text)
+    assert read == a and hash(read) == hash(a)
+    assert read.int_rows == a.int_rows
+    assert read.rows == a.rows == tuple(map(tuple, rows))
+    assert read.det() == a.det() == det_rational(rows)
+    assert signature(read) == signature(a)
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    upper = {Var(i + 1, j + 1): values[i * n + j] for i, j in pairs}
+    lines = [f"{i + 1} {j + 1} {_spell(values[i * n + j], *next(cells))}\n"
+             for i, j in (pairs[k] for k in order)]
+    l, read = SkewMatrix(n, upper), SkewMatrix.from_text(f"{n}\n" + "".join(lines))
+    assert read == l and hash(read) == hash(l)
+    assert read.entries == l.entries
+    assert read.upper == l.upper == {v: x for v, x in upper.items() if x}
+
+    drawn = random_skew(n, seed, bound)
+    built = SkewMatrix(n, {Var(i + 1, j + 1): Fraction(p, q)
+                           for i, j, p, q in _random_entries(n, seed, bound)})
+    assert drawn == built and hash(drawn) == hash(built)
+    assert drawn.entries == built.entries and drawn.upper == built.upper
+    assert SkewMatrix.from_text(drawn.to_text()) == drawn
