@@ -8,8 +8,10 @@ matrix classes store its input.  SymmetricMatrix.int_rows holds row a_i as
 SkewMatrix.entries holds each nonzero l_ij = p/q, i < j, as (i, j, p, q),
 0-based, p/q reduced, sorted.  Both are canonical, so == and hash read them;
 the Fraction views rows and upper are built on first use.  The kernel
-rescales row i to c = lcm(c_i, q, ...) and runs fraction-free (Bareiss)
-elimination.
+rescales row i to c = lcm(c_i, q, ...) and runs two-step fraction-free
+(Bareiss) elimination: each pass eliminates two columns through 3 x 3 minors,
+which Sylvester's identity makes exact multiples of the square of the
+previous pivot, so every entry costs one exact division per two columns.
 
 Congruence diagonalization never introduces square roots: one routine,
 _congruence_pivots, runs symmetric fraction-free elimination on c*A (c the
@@ -58,35 +60,84 @@ def _check_square(rows: tuple[tuple[Fraction, ...], ...]) -> int:
 
 def _matmul(a, b):
     n, m, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p))
+    return tuple([
+        tuple([sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p)])
         for i in range(n)
-    )
+    ])
 
 
 def _int_bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix (destructive)."""
+    """Determinant of a square integer matrix by two-step Bareiss elimination.
+
+    Destructive: m is eliminated in place, its rows swapped and overwritten.
+    After p passes, rows and columns 2p on of m form the trailing block b.
+    It holds the minors of the row-permuted input that border its leading
+    2p x 2p minor d (d = 1 before the first pass) with one more row and
+    column; entries left of b are stale.  By Sylvester's identity (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968) an s x s minor of b is d^(s-1) times a minor of the input.  A pass
+    takes rows and columns k and l = k + 1 of b as pivots.  Its 2 x 2 minors
+    D = b_kk b_ll - b_kl b_lk, U_j = b_kl b_lj - b_kj b_ll and
+    V_j = b_kk b_lj - b_kj b_lk are thus multiples of d, each divided by d
+    once, per pass or per column.  The 3 x 3 minor over rows k, l, i and
+    columns k, l, j, expanded along row i, is b_ij D + b_ik U_j - b_il V_j,
+    and it is d^2 times the next entry, so d^2 divides each such numerator:
+
+        b'_ij = (b_ij * D/d + b_ik * U_j/d - b_il * V_j/d) // d,
+
+    one exact division where two one-step passes make two.  D/d is the next
+    pass's d.
+
+    A zero b_kk swaps in the first later row with a nonzero entry in column
+    k; without one the determinant is 0.  A zero D swaps in the first later
+    row r with a nonzero b_kk b_rl - b_kl b_rk (d times its one-step entry
+    in column l); without one, column l is zero after one step, and so is
+    the determinant.  With two rows left the determinant is D/d; with one,
+    that row's entry.
+    """
     n = len(m)
     sign = 1
-    prev = 1
-    for k in range(n - 1):
+    d = 1
+    u = [0] * n
+    v = [0] * n
+    for k in range(0, n - 1, 2):
         if m[k][k] == 0:
             for r in range(k + 1, n):
-                if m[r][k] != 0:
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+        l = k + 1
+        row_k, row_l = m[k], m[l]
+        b_kk, b_kl = row_k[k], row_k[l]
+        delta = b_kk * row_l[l] - b_kl * row_l[k]
+        if delta == 0:
+            for r in range(k + 2, n):
+                delta = b_kk * m[r][l] - b_kl * m[r][k]
+                if delta:
+                    m[l], m[r] = m[r], m[l]
+                    sign = -sign
+                    row_l = m[l]
+                    break
+            else:
+                return 0
+        if l == n - 1:
+            return sign * (delta // d)
+        b_lk, b_ll = row_l[k], row_l[l]
+        rest = range(k + 2, n)
+        for j in rest:
+            x, y = row_k[j], row_l[j]
+            u[j] = (b_kl * y - x * b_ll) // d
+            v[j] = (b_kk * y - x * b_lk) // d
+        delta //= d
+        for i in rest:
+            row = m[i]
+            s, t = row[k], row[l]
+            for j in rest:
+                row[j] = (row[j] * delta + s * u[j] - t * v[j]) // d
+        d = delta
     return sign * m[n - 1][n - 1]
 
 
@@ -102,25 +153,27 @@ def _scaled_det(int_rows: Sequence[tuple[int, tuple[int, ...]]],
 
     Row i of R is (c_i, c_i * r_i), as in SymmetricMatrix.int_rows.  L is a
     list of (i, j, p, q) tuples, 0-based with i < j: l_ij = p/q and
-    l_ji = -p/q, as in SkewMatrix.entries.  Row i of R - L is scaled by c,
-    the lcm of c_i and of every q in row i of L: the stored row c_i * r_i
-    times c // c_i, minus p * (c // q) at each entry of L.  The integer
-    matrix goes through Bareiss elimination, and the result is det / prod(c).
+    l_ji = -p/q, as in SkewMatrix.entries.  One pass over L writes -L into
+    dense rows of numerators and denominators, both mirrored slots per
+    entry (0/1 where L is zero).  Row i of R - L is then scaled by c, the
+    lcm of c_i and its row of denominators: entry j is the stored c_i * r_ij
+    times c // c_i plus the numerator times c // q.  The integer matrix goes
+    through _int_bareiss_det, and the result is det / prod(c).
     """
-    in_row: list[list[tuple]] = [[] for _ in int_rows]
+    n = len(int_rows)
+    ps = [[0] * n for _ in range(n)]
+    qs = [[1] * n for _ in range(n)]
     for i, j, p, q in upper:
-        in_row[i].append((j, p, q))
-        in_row[j].append((i, -p, q))
+        ps[i][j] = -p
+        ps[j][i] = p
+        qs[i][j] = qs[j][i] = q
     scale = 1
     m: list[list[int]] = []
-    for (c_row, ints), entries in zip(int_rows, in_row):
-        c = math.lcm(c_row, *(q for _, _, q in entries))
+    for (c_row, ints), p_row, q_row in zip(int_rows, ps, qs):
+        c = math.lcm(c_row, *q_row)
         f = c // c_row
-        row = [x * f for x in ints] if f != 1 else list(ints)
-        for k, p, q in entries:
-            row[k] -= p * (c // q)
+        m.append([x * f + p * (c // q) for x, p, q in zip(ints, p_row, q_row)])
         scale *= c
-        m.append(row)
     return Fraction(_int_bareiss_det(m), scale)
 
 
@@ -158,7 +211,7 @@ class SymmetricMatrix:
                error: type[ValueError]) -> None:
         # Square rows of reduced pairs, equal exactly when their values are.
         n = len(pairs)
-        if pairs != tuple(zip(*pairs)):
+        if list(pairs) != list(zip(*pairs)):
             i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                         if pairs[i][j] != pairs[j][i])
             raise error(f"not symmetric at ({i + 1}, {j + 1})")
@@ -190,7 +243,7 @@ class SymmetricMatrix:
         return self.rows[i][j]
 
     def diagonal_entries(self) -> tuple[Fraction, ...]:
-        return tuple(self.rows[i][i] for i in range(self.n))
+        return tuple([self.rows[i][i] for i in range(self.n)])
 
     def is_diagonal(self) -> bool:
         return all(
@@ -306,9 +359,8 @@ class SkewMatrix:
         return -self.upper.get(Var(j + 1, i + 1), Fraction(0))
 
     def full_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            tuple(self.entry(i, j) for j in range(self.n)) for i in range(self.n)
-        )
+        return tuple([tuple([self.entry(i, j) for j in range(self.n)])
+                      for i in range(self.n)])
 
     def __neg__(self) -> "SkewMatrix":
         return SkewMatrix(self.n, {v: -c for v, c in self.upper.items()})
@@ -381,7 +433,7 @@ class TransitionMatrix:
     def _unimodular(cls, rows: list[list[Fraction]], det: int) -> "TransitionMatrix":
         # Trusted path for lagrange_diagonalize: Fraction rows, det = +-1 known.
         s = object.__new__(cls)
-        s.rows, s.n, s.det = tuple(map(tuple, rows)), len(rows), Fraction(det)
+        s.rows, s.n, s.det = tuple([tuple(row) for row in rows]), len(rows), Fraction(det)
         return s
 
     @classmethod
@@ -419,7 +471,7 @@ def congruence_sym(a: SymmetricMatrix, s: TransitionMatrix) -> SymmetricMatrix:
     """The transformed matrix S^T A S of a quadratic form under basis change."""
     if a.n != s.n:
         raise DimensionMismatch(f"form has n={a.n}, transition has n={s.n}")
-    st = tuple(zip(*s.rows))
+    st = list(zip(*s.rows))
     return SymmetricMatrix(_matmul(_matmul(st, a.rows), s.rows))
 
 
@@ -427,7 +479,7 @@ def congruence_skew(l: SkewMatrix, s: TransitionMatrix) -> SkewMatrix:
     """The transformed matrix S^T L S; skew-symmetry is preserved exactly."""
     if l.n != s.n:
         raise DimensionMismatch(f"skew matrix has n={l.n}, transition has n={s.n}")
-    st = tuple(zip(*s.rows))
+    st = list(zip(*s.rows))
     return SkewMatrix.from_full(_matmul(_matmul(st, l.full_rows()), s.rows))
 
 

@@ -280,7 +280,36 @@ _SPLIT_KERNEL_CASES = {
                 [(0, 1, -999, 1000), (0, 2, 13, 997), (1, 2, 500, 999)]),
     "no_l": ([[_H, 1], [1, Fraction(1, 3)]], []),
     "singular": ([[1, 2], [2, 4]], []),
+    # The two-step kernel's branches.  R - L has the singular leading block
+    # [[1/2, 0], [1, 0]]; row 2 has a nonzero one-step entry in column 1 and
+    # is swapped in.
+    "singular_block_repaired": ([[_H, _H, 0], [_H, 0, 1], [0, 1, 2]], [(0, 1, 1, 2)]),
+    # Column 1 of R - L is twice column 0, so no row repairs the singular
+    # leading block [[1, 2], [1, 2]]: the determinant is 0.
+    "singular_block_unrepaired": ([[1, Fraction(3, 2), 1], [Fraction(3, 2), 2, 1], [1, 1, 3]],
+                                  [(0, 1, -1, 2), (1, 2, 1, 1)]),
+    # After the first pass the trailing block [[0, 2/3], [4/3, 0]] has a zero
+    # leading entry: the second pass swaps its rows.
+    "zero_pivot_second_pass": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                               [(2, 3, 1, 3)]),
 }
+
+
+def _sized_case(n):
+    """A seeded rational R and L of dimension n; no zero pivot for these seeds."""
+    rng = random.Random(n)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    upper = [(i, j, rng.randint(-9, 9) or 1, rng.randint(1, 6))
+             for i in range(n) for j in range(i + 1, n)]
+    return rows, upper
+
+
+# Odd n ends on a two-step pass that leaves one entry, even n on the single
+# step of two rows; n = 1 and 2 take no two-step pass at all.
+_SPLIT_KERNEL_CASES.update({f"n{n}": _sized_case(n) for n in range(1, 8)})
 
 
 @pytest.mark.parametrize("case", sorted(_SPLIT_KERNEL_CASES))
@@ -292,6 +321,53 @@ def test_split_kernel_matches_cofactor_oracle(case):
     # The stored rows are left as they were, so a second call agrees.
     assert int_rows == SymmetricMatrix(rows).int_rows
     assert _scaled_det(int_rows, upper) == expected
+
+
+def _small_form(rng):
+    """A rational R and L of dimension 1 to 5, often with zero blocks or repeats.
+
+    Entries are drawn from few values, so leading blocks are often singular
+    and rows of R - L often repeat: the kernel's swap and zero branches run.
+    """
+    n = rng.randint(1, 5)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2, 3)]
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.choice(values)
+    upper = [(i, j, rng.choice((-1, 1, 2)), rng.choice((1, 2, 3)))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    shape = rng.randrange(4)
+    if shape == 1 and n > 1:
+        # A zero leading block of R and L.
+        k = rng.randint(1, n - 1)
+        for i in range(k):
+            for j in range(k):
+                rows[i][j] = Fraction(0)
+        upper = [e for e in upper if e[1] >= k]
+    elif shape == 2 and n > 1:
+        # Row and column j of R repeat row and column i; L keeps none of
+        # either, so R - L has two equal rows.
+        i, j = rng.sample(range(n), 2)
+        for k in range(n):
+            rows[j][k] = rows[k][j] = rows[i][k]
+        rows[j][j] = rows[i][j] = rows[j][i] = rows[i][i]
+        upper = [e for e in upper if not {e[0], e[1]} & {i, j}]
+    elif shape == 3:
+        upper = []
+    return rows, upper
+
+
+def test_split_kernel_matches_cofactor_oracle_on_small_forms():
+    rng = random.Random(2018)
+    zeros = 0
+    for _ in range(2500):
+        rows, upper = _small_form(rng)
+        expected = oracle_det_minus_skew(rows, upper)
+        assert _scaled_det(SymmetricMatrix(rows).int_rows, upper) == expected, (rows, upper)
+        zeros += expected == 0
+    # Singular cases are common, so the kernel's zero exits were exercised.
+    assert zeros > 250
 
 
 @pytest.mark.parametrize("rows", [[], [[1, 2]], [[1, 2], [3]], [[1], [2]]])
