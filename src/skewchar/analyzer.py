@@ -24,7 +24,7 @@ The strict-sign witnesses are read off one diagonalization S^T A S = D.
 For a nondegenerate form it also gives the inverse, S^-T = A S D^-1, so the
 witness S^-T T S^-1 of a single coupling T is a rank-two skew matrix built
 from two columns of A S: the sign witnesses need no inverse and no matrix
-product.
+product.  Every witness is built in integers, from c A and the columns of S.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .engine import eval_skewchar
@@ -49,7 +50,6 @@ from .matrices import (
     lagrange_diagonalize,
     signature,
 )
-from .polynomials import Var
 
 
 class NotIndefinite(ValueError):
@@ -165,38 +165,29 @@ def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _matvec(rows, vec):
-    return tuple(
-        sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in rows
-    )
-
-
 def _pair_isotropic(diag: Sequence[Fraction], first_pair=None):
-    """Isotropic vector supported on two diagonal directions, if one exists.
+    """(i, j, w) with w*e_i + e_j isotropic for the diagonal form, or None.
 
     The d_i must be nonzero.  For an opposite-sign pair (i, j) the vector
     w*e_i + e_j is isotropic exactly when w^2 = -d_j/d_i, a perfect square.
     """
-    n = len(diag)
-    pairs = []
+    pairs = itertools.combinations(range(len(diag)), 2)
     if first_pair is not None:
-        pairs.append(first_pair)
-    pairs.extend(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) != first_pair
-    )
+        pairs = itertools.chain([first_pair], (p for p in pairs if p != first_pair))
     for i, j in pairs:
         if (diag[i] > 0) == (diag[j] > 0):
             continue
         w = _rational_sqrt(-diag[j] / diag[i])
         if w is not None:
-            y = [Fraction(0)] * n
-            y[i] = w
-            y[j] = Fraction(1)
-            return tuple(y)
+            return i, j, w
     return None
+
+
+def _pair_vector(columns, i: int, j: int, w: Fraction) -> list[int]:
+    """An int multiple of w s_i + s_j, for columns s_k = ints_k / q_k, q_k > 0."""
+    (q_i, x_i), (q_j, x_j) = columns[i], columns[j]
+    f_i, f_j = w.numerator * q_j, w.denominator * q_i
+    return [f_i * u + f_j * v for u, v in zip(x_i, x_j)]
 
 
 def _enumeration_bounds(n: int) -> tuple[int, ...]:
@@ -358,29 +349,28 @@ def _anisotropic_prime(diag: Sequence[Fraction]) -> Optional[int]:
     return next((p for p in sorted(primes) if not _locally_isotropic(ints, p)), None)
 
 
-def _direct_isotropic(a: SymmetricMatrix, s2: Sequence[Sequence[Fraction]],
-                      diag2: Sequence[Fraction], m: int):
+def _direct_isotropic(a: SymmetricMatrix, columns, diag2: Sequence[Fraction], m: int):
     """An isotropic vector from a zero a_ii or a pair of the diagonalization.
 
-    Returns a nonzero int or Fraction vector x with x^T A x = 0, or None.
-    Zero diagonal entries of A give one outright; then perfect square tests
-    on opposite-sign pairs of the (permuted) diagonalization.
+    Returns a nonzero int vector x with x^T A x = 0, or None.  Zero diagonal
+    entries of A give one outright; then perfect square tests on opposite-sign
+    pairs of the (permuted) diagonalization and its columns of S.
     """
     n = a.n
-    for i in range(n):
-        if a.entry(i, i) == 0:
-            return tuple(int(k == i) for k in range(n))
+    for i, (_, ints) in enumerate(a.int_rows):
+        if ints[i] == 0:
+            return [int(k == i) for k in range(n)]
 
-    y = _pair_isotropic(diag2, first_pair=(m - 1, m))
-    return None if y is None else _matvec(s2, y)
+    hit = _pair_isotropic(diag2, first_pair=(m - 1, m))
+    return None if hit is None else _pair_vector(columns, *hit)
 
 
-def _searched_isotropic(a: SymmetricMatrix):
-    """A nonzero int or Fraction vector x with x^T A x = 0, or None if not found.
+def _searched_isotropic(a: SymmetricMatrix, int_a: list[list[int]]):
+    """A nonzero int vector x with x^T A x = 0, or None if not found.
 
     The perfect square test across diagonalizations of every coordinate
-    permutation of A, then bounded integer enumeration in the original
-    coordinates.  Runs only after _direct_isotropic failed, so no a_ii is 0.
+    permutation of A, then bounded integer enumeration of int_a = c A in the
+    original coordinates.  Runs only after _direct_isotropic failed, so no a_ii is 0.
     """
     n = a.n
     identity = tuple(range(n))
@@ -389,42 +379,29 @@ def _searched_isotropic(a: SymmetricMatrix):
             continue
         p = TransitionMatrix.permutation(perm)
         s3, d3 = lagrange_diagonalize(congruence_sym(a, p))
-        y = _pair_isotropic(d3.diagonal_entries())
-        if y is not None:
-            return _matvec(p.rows, _matvec(s3.rows, y))
+        hit = _pair_isotropic(d3.diagonal_entries())
+        if hit is not None:
+            y = _pair_vector(s3.columns, *hit)
+            return [y[perm.index(k)] for k in range(n)]
 
-    _, int_rows = _scaled_matrix(a)
     for bound in _enumeration_bounds(n):
-        sol = _enumerate_isotropic(int_rows, bound)
+        sol = _enumerate_isotropic(int_a, bound)
         if sol is not None:
             return sol
     return None
 
 
-def _primitive(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
-    scale = math.lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (scale // x.denominator) for x in vec]
-    g = math.gcd(*ints)
-    return tuple(v // g for v in ints)
-
-
-def _wedge(p: Sequence[Fraction], q: Sequence[Fraction], scale: Fraction) -> SkewMatrix:
-    """The rank-two skew matrix scale * (p q^T - q p^T)."""
+def _wedge(p: Sequence[int], q: Sequence[int], num: int, den: int) -> SkewMatrix:
+    """The rank-two skew matrix (num / den)(p q^T - q p^T) of int vectors, den > 0."""
     n = len(p)
-    return SkewMatrix(n, {
-        Var(u + 1, v + 1): scale * (p[u] * q[v] - q[u] * p[v])
-        for u in range(n) for v in range(u + 1, n)
-    })
-
-
-def _kernel_skew(a: SymmetricMatrix, x: Sequence[Fraction]) -> SkewMatrix:
-    """The skew matrix (Ax x^T - x (Ax)^T) / (x^T x), which kills x in A - L.
-
-    When x is isotropic for A this forces det(A - L) = 0: the vector x lies
-    in the kernel of A - L by construction.
-    """
-    xi = _primitive(x)
-    return _wedge(_matvec(a.rows, xi), xi, Fraction(1, sum(v * v for v in xi)))
+    entries = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            x = num * (p[u] * q[v] - q[u] * p[v])
+            if x:
+                g = math.gcd(x, den)
+                entries.append((u, v, x // g, den // g))
+    return SkewMatrix._trusted(n, tuple(entries))
 
 
 # -- public operations ---------------------------------------------------------
@@ -439,7 +416,8 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     original basis it is S^-T T S^-1, and S^-T = A S D^-1 (D is invertible
     here), so it equals t / (d_u d_v) ((Au)(Av)^T - (Av)(Au)^T) for the
     columns u, v of S that carry those directions: no inverse is needed.
-    The zero witness comes from a rational isotropic vector.  When neither
+    The zero witness (Ax x^T - x (Ax)^T) / (x^T x) comes from a rational
+    isotropic vector x.  Both take integer dot products with c A.  When neither
     a zero a_ii nor a pair of D gives one and n <= 4, Hilbert symbols decide
     whether one exists: raises AnisotropicForm, carrying the strict-sign
     witnesses and the least prime at which none exists.  Otherwise the
@@ -454,7 +432,7 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     if not 0 < m < len(order) == n:
         sig = (m, len(order) - m, n - len(order))
         raise NotIndefinite(f"signature {sig} is not mixed nondegenerate")
-    s2 = [[row[k] for k in order] for row in s.rows]
+    cols = [s.columns[k] for k in order]
     diag2 = [diag[i] for i in order]
 
     # Bracket the coupling strength between the last positive and first
@@ -464,9 +442,13 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     value_a = eval_skewchar(a, lam_a)
     gap = -diag2[m - 1] * diag2[m]
     t_big = math.isqrt(gap.numerator // gap.denominator) + 1
-    au = _matvec(a.rows, [row[m - 1] for row in s2])
-    av = _matvec(a.rows, [row[m] for row in s2])
-    lam_b = _wedge(au, av, t_big / (diag2[m - 1] * diag2[m]))
+    # A s_k = (c A) x_k / (c q_k) for the column x_k / q_k of S.
+    c, int_a = _scaled_matrix(a)
+    (q_u, x_u), (q_v, x_v) = cols[m - 1], cols[m]
+    scale = t_big / (diag2[m - 1] * diag2[m])
+    lam_b = _wedge([sum(map(mul, row, x_u)) for row in int_a],
+                   [sum(map(mul, row, x_v)) for row in int_a],
+                   scale.numerator, scale.denominator * c * c * q_u * q_v)
     value_b = eval_skewchar(a, lam_b)
     if value_a == 0 or value_b == 0 or (value_a > 0) == (value_b > 0):
         raise RuntimeError("bracketing witnesses did not produce both strict signs")
@@ -476,15 +458,17 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     else:
         signs = (lam_b, value_b, lam_a, value_a)
 
-    x = _direct_isotropic(a, s2, diag2, m)
+    x = _direct_isotropic(a, cols, diag2, m)
     if x is None:
         p = _anisotropic_prime(diag2) if n <= 4 else None
         if p is not None:
             raise AnisotropicForm(Witness(None, None, *signs, anisotropic_at=p))
-        x = _searched_isotropic(a)
+        x = _searched_isotropic(a, int_a)
         if x is None:
             raise WitnessSearchExhausted(Witness(None, None, *signs))
-    lam_zero = _kernel_skew(a, x)
+    # x is in the kernel of A - L, so det(A - L) = 0; scaling x changes nothing.
+    lam_zero = _wedge([sum(map(mul, row, x)) for row in int_a], x, 1,
+                      c * sum(v * v for v in x))
     value_zero = eval_skewchar(a, lam_zero)
     if value_zero != 0:
         raise RuntimeError("zero witness failed to annihilate the determinant")

@@ -122,7 +122,7 @@ def sub_pfaffian_poly(n: int, subset: Sequence[int]) -> MultiPoly:
         raise ExpansionTooLarge(
             f"subset size {k} exceeds the Pfaffian cap {SUB_PFAFFIAN_MAX}")
     [(_, _, root)], _ = _packed_pfaffians(
-        [[int(p == u) for u in range(k)] for p in range(k)], [0] * k)
+        [(1, [int(p == u) for p in range(k)]) for u in range(k)], [0] * k)
     name = {Var(a + 1, b + 1): Var(subset[a], subset[b])
             for a, b in itertools.combinations(range(k), 2)}
     return MultiPoly._raw({tuple((name[v], e) for v, e in mono): c
@@ -169,24 +169,24 @@ class Certificate(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _packed_pfaffians(rows: Sequence[Sequence[Fraction]], diag: Sequence[Fraction]):
+def _packed_pfaffians(columns: Sequence[tuple[int, Sequence[int]]], diag: Sequence[Fraction]):
     """The terms (weight, |U|, Pf(M_int[U])) of det(D - M), and the scale s.
 
-    rows = S = S_int / s with S_int integer, so M = S^T L S = M_int / s^2 and
-    Pf(M[U]) = Pf(M_int[U]) / s^|U|.  Every even subset's Pfaffian is built
-    once, bottom-up by size, from the stored ones two smaller:
+    S = S_int / s, s the lcm of the q of its columns (q, ints), so M = S^T L S
+    = M_int / s^2 and Pf(M[U]) = Pf(M_int[U]) / s^|U|.  Every even subset's
+    Pfaffian is built once, bottom-up by size, from the stored ones two smaller:
     Pf(U) = sum_k (-1)^k m_{u1,uk} Pf(U minus {u1, uk}).  One term per even
     subset U, in order of size and then lexicographically; the weight is the
     product of the d_i outside U, and a subset of zero weight gets no term.
     """
-    n = len(rows)
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    r = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    n = len(columns)
+    scale = lcm(*[q for q, _ in columns])
+    col = [[x * (scale // q) for x in ints] for q, ints in columns]
     fields = packed_fields(n)
     # m_int(u, v) is linear: (field bit of l_km, coefficient) per variable.
     linear = {
         (u, v): [(bit, c) for bit, k, m in fields
-                 if (c := r[k][u] * r[m][v] - r[m][u] * r[k][v])]
+                 if (c := col[u][k] * col[v][m] - col[u][m] * col[v][k])]
         for _, u, v in fields
     }
     pf = {0: {0: 1}}
@@ -247,7 +247,7 @@ def expand_skewchar(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Multi
         raise ExpansionTooLarge(
             f"dimension {a.n} exceeds the expansion cap {max_dim}")
     s, d = lagrange_diagonalize(a)
-    return _square_sum(a.n, *_packed_pfaffians(s.rows, d.diagonal_entries()))
+    return _square_sum(a.n, *_packed_pfaffians(s.columns, d.diagonal_entries()))
 
 
 def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Certificate:
@@ -267,7 +267,7 @@ def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Cert
         raise NotPositiveDefinite(
             f"diagonalized form has non-positive entries {tuple(map(str, diag))}")
 
-    terms, scale = _packed_pfaffians(s.rows, diag)
+    terms, scale = _packed_pfaffians(s.columns, diag)
     cert = Certificate(n=n, terms=tuple(
         (w, MultiPoly._from_packed(n, root, scale ** size)) for w, size, root in terms))
     for k in range(1, _CERT_CHECK_SAMPLES + 1):

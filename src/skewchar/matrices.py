@@ -17,7 +17,8 @@ Congruence diagonalization never introduces square roots: one routine,
 _congruence_pivots, runs symmetric fraction-free elimination on c*A (c the
 lcm of the c_i) once per matrix and keeps the exact diagonal and the basis
 changes on it.  signature() reads only the signs of that diagonal;
-lagrange_diagonalize() alone builds the transition matrix S.
+lagrange_diagonalize() alone builds the transition matrix S, in integers:
+it replays the basis changes on the columns of S, each kept as (q, ints).
 
 The text readers refuse non-ASCII text, then share one prologue: strip the
 lines, drop blank ones, read the dimension.  Dimensions, indices and values
@@ -415,26 +416,37 @@ class SkewMatrix:
 
 
 class TransitionMatrix:
-    """An invertible exact matrix used for changes of basis."""
+    """An invertible exact matrix used for changes of basis.
 
-    __slots__ = ("rows", "n", "det")
+    It stores columns, column k as (q, ints): ints / q in lowest terms, q > 0,
+    row k of S^T in the kernel's form.  rows is a view built on first use.
+    """
+
+    __slots__ = ("n", "det", "columns", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]) -> None:
         frows = _fraction_rows(rows)
         n = _check_square(frows)
-        d = det_rational(frows)
+        columns = tuple([_kernel_row([x.as_integer_ratio() for x in c]) for c in zip(*frows)])
+        d = _scaled_det(columns, ())  # det S^T = det S
         if d == 0:
             raise ValueError("transition matrix must be invertible")
-        self.rows = frows
-        self.n = n
-        self.det = d
+        self.n, self.det, self.columns, self._rows = n, d, columns, frows
 
     @classmethod
-    def _unimodular(cls, rows: list[list[Fraction]], det: int) -> "TransitionMatrix":
-        # Trusted path for lagrange_diagonalize: Fraction rows, det = +-1 known.
+    def _unimodular(cls, columns: tuple, det: int) -> "TransitionMatrix":
+        # Trusted path for lagrange_diagonalize: reduced columns, det = +-1 known.
         s = object.__new__(cls)
-        s.rows, s.n, s.det = tuple([tuple(row) for row in rows]), len(rows), Fraction(det)
+        s.n, s.det, s.columns, s._rows = len(columns), Fraction(det), columns, None
         return s
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions: a view of columns, built once."""
+        if self._rows is None:
+            self._rows = tuple(zip(*[[Fraction(x, q) for x in ints]
+                                     for q, ints in self.columns]))
+        return self._rows
 
     @classmethod
     def identity(cls, n: int) -> "TransitionMatrix":
@@ -507,7 +519,7 @@ def _congruence_pivots(a: SymmetricMatrix) -> tuple[tuple[Fraction, ...], tuple[
     d_k = pivot_k / (c * pivot_{k-1}), and each factor -M_ik / M_kk equals
     the rational one.  Basis changes are recorded in order as
     ("swap", p, q) and ("add", dst, src, num, den), the latter meaning
-    e_dst += (num / den) * e_src.
+    e_dst += (num / den) * e_src with den > 0.
     """
     if a._pivots is not None:
         return a._pivots
@@ -551,7 +563,7 @@ def _congruence_pivots(a: SymmetricMatrix) -> tuple[tuple[Fraction, ...], tuple[
             row_i = m[i]
             f = row_i[k]
             if f:
-                ops.append(("add", i, k, -f, pivot_val))
+                ops.append(("add", i, k, -f if pivot_val > 0 else f, abs(pivot_val)))
             for j in range(i, n):
                 m[j][i] = row_i[j] = (pivot_val * row_i[j] - f * row_k[j]) // prev
         prev = pivot_val
@@ -570,25 +582,27 @@ def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, Symmetri
     is not normalized to entries of modulus one.
 
     D comes from fraction-free integer elimination (_congruence_pivots); S
-    replays its basis changes, swaps and e_dst += f * e_src with dst != src,
-    on the identity, so det S = (-1)^swaps by construction and is not checked.
+    replays its basis changes, swaps and e_dst += f e_src with dst != src, on
+    the identity's integer columns.  So det S = (-1)^swaps by construction
+    and is not checked.
     """
     n = a.n
     diag, ops = _congruence_pivots(a)
-    s = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    cols = [(1, tuple([int(i == k) for i in range(n)])) for k in range(n)]
     for op in ops:
         if op[0] == "swap":
             _, p, q = op
-            for row in s:
-                row[p], row[q] = row[q], row[p]
+            cols[p], cols[q] = cols[q], cols[p]
         else:
+            # x_d / q_d + (num / den) x_s / q_s, over the denominator q_d q_s den
             _, dst, src, num, den = op
-            f = Fraction(num, den)
-            for row in s:
-                if row[src]:
-                    row[dst] += f * row[src]
+            (q_d, x_d), (q_s, x_s) = cols[dst], cols[src]
+            f_d, f_s = q_s * den, q_d * num
+            x = [f_d * u + f_s * v for u, v in zip(x_d, x_s)]
+            g = math.gcd(q_d * f_d, *x)
+            cols[dst] = (q_d * f_d // g, tuple([v // g for v in x]))
     det = (-1) ** sum(op[0] == "swap" for op in ops)
-    return TransitionMatrix._unimodular(s, det), SymmetricMatrix.diagonal(diag)
+    return TransitionMatrix._unimodular(tuple(cols), det), SymmetricMatrix.diagonal(diag)
 
 
 def signature(a: SymmetricMatrix) -> Signature:

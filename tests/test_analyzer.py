@@ -108,6 +108,25 @@ def test_classify_eliminates_an_indefinite_form_once(monkeypatch, seed):
     assert report.signature == signature(SymmetricMatrix(a.rows))
 
 
+@pytest.mark.parametrize("text, prime", [
+    ("4\n2 2 2 0\n2 1/2 1/2 0\n2 1/2 -7/2 0\n0 0 0 4\n", None),
+    ("3\n2 1 -1\n1 0 3\n-1 3 -1/2\n", None),
+    ("4\n1 0 1 0\n0 1 0 1\n1 0 -2 0\n0 1 0 -2\n", 2),
+], ids=["planted_pair", "zero_diagonal_entry", "anisotropic"])
+def test_classify_builds_no_fraction_view_of_a(text, prime):
+    # Settled by a pair of the diagonalization, a zero a_22 or the local
+    # test, so no search runs: the witnesses come from int_rows and the
+    # integer columns of S, and A's Fraction rows are never built.
+    a = SymmetricMatrix.from_text(text)
+    w = classify(a).witness
+    assert a._rows is None
+    assert w.anisotropic_at == prime
+    assert (w.lambda_zero is None) == (prime is not None)
+    assert eval_skewchar(a, w.lambda_plus) == w.value_plus > 0
+    assert eval_skewchar(a, w.lambda_minus) == w.value_minus < 0
+    assert a._rows is None
+
+
 def test_classify_degenerate():
     a = SymmetricMatrix([[1, 2], [2, 4]])
     report = classify(a)

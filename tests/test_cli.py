@@ -290,6 +290,207 @@ def test_dense_golden(tmp_path, capsys, name):
     assert run(capsys, [command, *paths, *args]) == (0, expected, "")
 
 
+# witness and classify on one form per way a witness is found or refused: a
+# pair of the diagonalization (planted), a coordinate permutation, a zero
+# a_22, a local proof of anisotropy (exit 4 from witness) at n = 2, 3 and 4,
+# integer enumeration, a scrambled hard form, and eliminations with negative
+# pivots and 1/2 denominators in S.  Each entry is (form, classify stdout,
+# witness stderr or None); witness prints the classify text when it exits 0.
+# All were captured through cli.main before S and the witnesses were built
+# in integers.
+_WITNESS_CLI_GOLDENS = {
+    "planted_n4": (
+        "4\n2 2 2 0\n2 1/2 1/2 0\n2 1/2 -7/2 0\n0 0 0 4\n",
+        "verdict: Indefinite\n"
+        "signature: 2 2 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "4\n"
+        "2 3 -4/3\n"
+        "2 4 4/3\n"
+        "3 4 -8/3\n"
+        "witness lambda_plus: P = 48\n"
+        "4\n"
+        "witness lambda_minus: P = -24\n"
+        "4\n"
+        "2 4 -3\n"
+        "3 4 -3\n",
+        None),
+    "permutation_n4": (
+        "4\n2 1 0 1\n1 -3 2 0\n0 2 5 1\n1 0 1 -4\n",
+        "verdict: Indefinite\n"
+        "signature: 2 2 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "4\n"
+        "1 2 -1/2\n"
+        "1 3 -1/2\n"
+        "1 4 3\n"
+        "2 4 1/2\n"
+        "3 4 1/2\n"
+        "witness lambda_plus: P = 194\n"
+        "4\n"
+        "witness lambda_minus: P = -1358/43\n"
+        "4\n"
+        "2 3 -5\n"
+        "2 4 -25/43\n"
+        "3 4 45/43\n",
+        None),
+    "zero_a22_n3": (
+        "3\n2 1 -1\n1 0 3\n-1 3 -1/2\n",
+        "verdict: Indefinite\n"
+        "signature: 2 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "3\n"
+        "1 2 1\n"
+        "2 3 -3\n"
+        "witness lambda_plus: P = 17/2\n"
+        "3\n"
+        "2 3 -4\n"
+        "witness lambda_minus: P = -47/2\n"
+        "3\n",
+        None),
+    "aniso_n2": (
+        "2\n1 1\n1 -1\n",
+        "verdict: Indefinite\n"
+        "signature: 1 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: none (anisotropic at p = 2)\n"
+        "witness lambda_plus: P = 2\n"
+        "2\n"
+        "1 2 2\n"
+        "witness lambda_minus: P = -2\n"
+        "2\n",
+        "error: no rational skew matrix with det(A - L) = 0 exists: the form is anisotropic at p = 2\n"),
+    "aniso_n3": (
+        "3\n1 1 0\n1 2 1\n0 1 -2\n",
+        "verdict: Indefinite\n"
+        "signature: 2 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: none (anisotropic at p = 2)\n"
+        "witness lambda_plus: P = 1\n"
+        "3\n"
+        "2 3 2\n"
+        "witness lambda_minus: P = -3\n"
+        "3\n",
+        "error: no rational skew matrix with det(A - L) = 0 exists: the form is anisotropic at p = 2\n"),
+    "aniso_n4": (
+        "4\n1 0 1 0\n0 1 0 1\n1 0 -2 0\n0 1 0 -2\n",
+        "verdict: Indefinite\n"
+        "signature: 2 2 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: none (anisotropic at p = 2)\n"
+        "witness lambda_plus: P = 9\n"
+        "4\n"
+        "witness lambda_minus: P = -3\n"
+        "4\n"
+        "2 3 2\n"
+        "3 4 -2\n",
+        "error: no rational skew matrix with det(A - L) = 0 exists: the form is anisotropic at p = 2\n"),
+    "enumeration_n3": (
+        "3\n1/2 0 0\n0 1 0\n0 0 -3/2\n",
+        "verdict: Indefinite\n"
+        "signature: 2 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "3\n"
+        "1 2 1/6\n"
+        "1 3 -2/3\n"
+        "2 3 5/6\n"
+        "witness lambda_plus: P = 5/4\n"
+        "3\n"
+        "2 3 2\n"
+        "witness lambda_minus: P = -3/4\n"
+        "3\n",
+        None),
+    "enumeration_n4": (
+        "4\n1/3 0 0 0\n0 2/3 0 0\n0 0 1 0\n0 0 0 -2\n",
+        "verdict: Indefinite\n"
+        "signature: 3 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "4\n"
+        "1 2 1/12\n"
+        "1 3 1/6\n"
+        "1 4 -7/12\n"
+        "2 3 -1/12\n"
+        "2 4 2/3\n"
+        "3 4 3/4\n"
+        "witness lambda_plus: P = 4/9\n"
+        "4\n"
+        "3 4 2\n"
+        "witness lambda_minus: P = -4/9\n"
+        "4\n",
+        None),
+    "hard_scrambled_n5": (
+        "5\n2 0 2 0 2\n0 3 0 0 0\n2 0 3 0 3\n0 0 0 -11 0\n2 0 3 0 8\n",
+        "verdict: Indefinite\n"
+        "signature: 4 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "5\n"
+        "1 2 -2/7\n"
+        "1 3 4/7\n"
+        "1 4 2/7\n"
+        "1 5 -2/7\n"
+        "2 3 -3/7\n"
+        "2 4 -2\n"
+        "2 5 1/7\n"
+        "3 4 25/7\n"
+        "3 5 1/7\n"
+        "4 5 13/7\n"
+        "witness lambda_plus: P = 54\n"
+        "5\n"
+        "4 5 -8\n"
+        "witness lambda_minus: P = -330\n"
+        "5\n",
+        None),
+    "negative_pivots_n3": (
+        "3\n-2 1 3\n1 1 0\n3 0 1\n",
+        "verdict: Indefinite\n"
+        "signature: 2 1 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: none (anisotropic at p = 2)\n"
+        "witness lambda_plus: P = 3/2\n"
+        "3\n"
+        "1 3 -3\n"
+        "2 3 3/2\n"
+        "witness lambda_minus: P = -12\n"
+        "3\n",
+        "error: no rational skew matrix with det(A - L) = 0 exists: the form is anisotropic at p = 2\n"),
+    "negative_pivots_n4": (
+        "4\n-2 1 1 3\n1 -1/2 0 1\n1 0 3 -1\n3 1 -1 1\n",
+        "verdict: Indefinite\n"
+        "signature: 2 2 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "4\n"
+        "1 3 -1/5\n"
+        "1 4 -1\n"
+        "2 3 -2/5\n"
+        "2 4 -2\n"
+        "witness lambda_plus: P = 44\n"
+        "4\n"
+        "witness lambda_minus: P = -5\n"
+        "4\n"
+        "1 4 -14\n"
+        "2 4 7\n"
+        "3 4 7\n",
+        None),
+}
+
+
+@pytest.mark.parametrize("name", list(_WITNESS_CLI_GOLDENS))
+def test_witness_and_classify_goldens(tmp_path, capsys, name):
+    form, report, refusal = _WITNESS_CLI_GOLDENS[name]
+    path = tmp_path / "form.txt"
+    path.write_text(form, encoding="utf-8")
+    assert run(capsys, ["classify", str(path)]) == (0, report, "")
+    expected = (0, report, "") if refusal is None else (4, "", refusal)
+    assert run(capsys, ["witness", str(path)]) == expected
+
+
 def test_byte_identical_reruns(files, capsys):
     for argv in (
         ["expand", files["id3"]],

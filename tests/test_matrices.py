@@ -1,5 +1,6 @@
 """Tests for exact matrices, congruence transforms and diagonalization."""
 
+import math
 import random
 import sys
 import time
@@ -33,7 +34,7 @@ from skewchar import (
     random_skew,
     signature,
 )
-from skewchar.matrices import _random_entries, _scaled_det
+from skewchar.matrices import _congruence_pivots, _random_entries, _scaled_det
 
 
 def test_symmetric_constructor_rejects_asymmetry():
@@ -53,6 +54,13 @@ def test_skew_from_full_validation():
 def test_transition_rejects_singular():
     with pytest.raises(ValueError):
         TransitionMatrix([[1, 2], [2, 4]])
+
+
+def test_transition_stores_reduced_columns():
+    s = TransitionMatrix([[1, Fraction(1, 2)], [0, Fraction(-2, 3)]])
+    assert s.columns == ((1, (1, 0)), (6, (3, -4)))
+    assert s.det == Fraction(-2, 3)
+    assert s.rows == ((1, Fraction(1, 2)), (0, Fraction(-2, 3)))
 
 
 def test_congruence_sym_examples():
@@ -123,20 +131,58 @@ def test_lagrange_postcondition_random(n):
         assert congruence_sym(a, s) == d
 
 
+def _assert_matches_reference(a):
+    """S and D equal the Fraction reference; each integer column of S is reduced, q > 0."""
+    s, d = lagrange_diagonalize(a)
+    ref_s, ref_d = lagrange_reference(a)
+    assert (s.rows, d.rows) == (ref_s, ref_d)
+    assert s.det == det_rational(s.rows)
+    for k, (q, ints) in enumerate(s.columns):
+        assert q > 0 and math.gcd(q, *ints) == 1
+        assert tuple(Fraction(x, q) for x in ints) == tuple(row[k] for row in ref_s)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_lagrange_matches_reference(n):
     rng = random.Random(500 + n)
     forms = [SymmetricMatrix.zero(n)]
     for _ in range(12):
         forms.append(random_symmetric(rng, n))
+        forms.append(-random_symmetric(rng, n))
         forms.append(random_zero_diagonal(rng, n))
         if n > 1:
             forms.append(random_singular(rng, n))
             forms.append(random_indefinite(rng, n))
     for a in forms:
-        s, d = lagrange_diagonalize(a)
-        assert (s.rows, d.rows) == lagrange_reference(a)
-        assert s.det == det_rational(s.rows)
+        _assert_matches_reference(a)
+    if n > 1:
+        # the basis changes replayed above include folds, swaps and negative pivots
+        ops = [op for a in forms for op in _congruence_pivots(a)[1]]
+        assert any(op[0] == "swap" for op in ops)
+        assert ("add", 0, 1, 1, 1) in ops
+        assert any(x < 0 for a in forms for x in _congruence_pivots(a)[0])
+
+
+@pytest.mark.parametrize("rows, feature", [
+    ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], ("add", 0, 1, 1, 1)),
+    ([[0, 1, 0], [1, 2, 0], [0, 0, 1]], ("swap", 0, 1)),
+    ([[1, 2, 0], [2, 4, 0], [0, 0, 0]], None),
+    ([[-2, 1, 3], [1, 1, 0], [3, 0, 1]], ("add", 1, 0, 1, 2)),
+], ids=["fold", "swap", "zero_trailing_block", "negative_pivot"])
+def test_lagrange_integer_basis_per_elimination_feature(rows, feature):
+    # The fold is e_1 += e_2 on a zero diagonal with a nonzero a_12; the zero
+    # trailing block stops the elimination after one pivot; the pivot -2 gives
+    # e_2 += (1/2) e_1, a column (1/2, 1, 0) kept as (2, (1, 2, 0)), not (-2, ...).
+    a = SymmetricMatrix(rows)
+    diag, ops = _congruence_pivots(a)
+    if feature is None:
+        assert diag == (1, 0, 0)
+    else:
+        assert ops[0] == feature
+    _assert_matches_reference(a)
+    if feature == ("add", 1, 0, 1, 2):
+        s, _ = lagrange_diagonalize(a)
+        assert s.columns[1] == (2, (1, 2, 0))
 
 
 def test_lagrange_diagonalize_n30_is_fast():
