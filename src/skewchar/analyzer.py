@@ -232,9 +232,9 @@ def _enumerate_isotropic(m: list[list[int]], bound: int):
             return solve_leaf(lin, quad)
         lo = 0 if not any_nonzero else -bound
         row = m[idx]
+        cross = sum(m[i][idx] * xs[i] for i in range(idx))
         for v in range(lo, bound + 1):
             xs[idx] = v
-            cross = sum(m[i][idx] * xs[i] for i in range(idx))
             out = rec(
                 idx + 1,
                 lin + row[last] * v,
@@ -379,7 +379,7 @@ def _searched_isotropic(a: SymmetricMatrix, int_a: list[list[int]]):
             continue
         p = TransitionMatrix.permutation(perm)
         s3, d3 = lagrange_diagonalize(congruence_sym(a, p))
-        hit = _pair_isotropic(d3.diagonal_entries())
+        hit = _pair_isotropic(d3)
         if hit is not None:
             y = _pair_vector(s3.columns, *hit)
             return [y[perm.index(k)] for k in range(n)]
@@ -425,15 +425,14 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     strict-sign witnesses, when it finds none within its budget.
     """
     s, d = lagrange_diagonalize(a)
-    diag = d.diagonal_entries()
     n = a.n
-    order = [i for i in range(n) if diag[i] > 0] + [i for i in range(n) if diag[i] < 0]
-    m = sum(x > 0 for x in diag)
+    order = [i for i in range(n) if d[i] > 0] + [i for i in range(n) if d[i] < 0]
+    m = sum(x > 0 for x in d)
     if not 0 < m < len(order) == n:
         sig = (m, len(order) - m, n - len(order))
         raise NotIndefinite(f"signature {sig} is not mixed nondegenerate")
     cols = [s.columns[k] for k in order]
-    diag2 = [diag[i] for i in order]
+    diag2 = [d[i] for i in order]
 
     # Bracket the coupling strength between the last positive and first
     # negative direction: t = 0 gives sign(det A), any t with

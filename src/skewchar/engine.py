@@ -8,9 +8,10 @@ kernel below, numeric ones by O(n^3) skew elimination: about 0.07 s at n=30)
 and builds weighted sum-of-squares certificates for positive definite A.
 
 Expansion and certificates share one algorithm.  Congruence-diagonalize
-S^T A S = D with det S = +-1 and put M = S^T L S; then det(A - L) =
-det(D - M), the sum over even index subsets U of (prod of d_i outside U)
-times Pf(M[U])^2, whatever the signs of the d_i.
+S^T A S = diag(d) with det S = +-1 (lagrange_diagonalize returns S and the
+tuple d) and put M = S^T L S; then det(A - L) = det(diag(d) - M), the sum
+over even index subsets U of (prod of d_i outside U) times Pf(M[U])^2,
+whatever the signs of the d_i.
 
 The sum runs on packed integer polynomials: a dict from packed monomial
 (polynomials module docstring) to int coefficient.  S is scaled to integers once, and
@@ -170,7 +171,7 @@ class Certificate(NamedTuple):
 
 
 def _packed_pfaffians(columns: Sequence[tuple[int, Sequence[int]]], diag: Sequence[Fraction]):
-    """The terms (weight, |U|, Pf(M_int[U])) of det(D - M), and the scale s.
+    """The terms (weight, |U|, Pf(M_int[U])) of det(diag(d) - M), and the scale s.
 
     S = S_int / s, s the lcm of the q of its columns (q, ints), so M = S^T L S
     = M_int / s^2 and Pf(M[U]) = Pf(M_int[U]) / s^|U|.  Every even subset's
@@ -247,7 +248,7 @@ def expand_skewchar(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Multi
         raise ExpansionTooLarge(
             f"dimension {a.n} exceeds the expansion cap {max_dim}")
     s, d = lagrange_diagonalize(a)
-    return _square_sum(a.n, *_packed_pfaffians(s.columns, d.diagonal_entries()))
+    return _square_sum(a.n, *_packed_pfaffians(s.columns, d))
 
 
 def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Certificate:
@@ -262,12 +263,11 @@ def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Cert
     if n > max_dim:
         raise ExpansionTooLarge(f"dimension {n} exceeds the certificate cap {max_dim}")
     s, d = lagrange_diagonalize(a)
-    diag = d.diagonal_entries()
-    if any(x <= 0 for x in diag):
+    if any(x <= 0 for x in d):
         raise NotPositiveDefinite(
-            f"diagonalized form has non-positive entries {tuple(map(str, diag))}")
+            f"diagonalized form has non-positive entries {tuple(map(str, d))}")
 
-    terms, scale = _packed_pfaffians(s.columns, diag)
+    terms, scale = _packed_pfaffians(s.columns, d)
     cert = Certificate(n=n, terms=tuple(
         (w, MultiPoly._from_packed(n, root, scale ** size)) for w, size, root in terms))
     for k in range(1, _CERT_CHECK_SAMPLES + 1):

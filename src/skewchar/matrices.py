@@ -17,8 +17,9 @@ Congruence diagonalization never introduces square roots: one routine,
 _congruence_pivots, runs symmetric fraction-free elimination on c*A (c the
 lcm of the c_i) once per matrix and keeps the exact diagonal and the basis
 changes on it.  signature() reads only the signs of that diagonal;
-lagrange_diagonalize() alone builds the transition matrix S, in integers:
-it replays the basis changes on the columns of S, each kept as (q, ints).
+lagrange_diagonalize() returns it as the tuple d beside the transition
+matrix S, which it alone builds, in integers: it replays the basis changes
+on the columns of S, each kept as (q, ints).
 
 The text readers refuse non-ASCII text, then share one prologue: strip the
 lines, drop blank ones, read the dimension.  Dimensions, indices and values
@@ -243,14 +244,6 @@ class SymmetricMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def diagonal_entries(self) -> tuple[Fraction, ...]:
-        return tuple([self.rows[i][i] for i in range(self.n)])
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.rows[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j
-        )
-
     def det(self) -> Fraction:
         return _scaled_det(self.int_rows, ())
 
@@ -419,7 +412,8 @@ class TransitionMatrix:
     """An invertible exact matrix used for changes of basis.
 
     It stores columns, column k as (q, ints): ints / q in lowest terms, q > 0,
-    row k of S^T in the kernel's form.  rows is a view built on first use.
+    row k of S^T in the kernel's form.  Both constructors keep them canonical,
+    so == and hash read them; rows is a view built on first use.
     """
 
     __slots__ = ("n", "det", "columns", "_rows")
@@ -467,10 +461,10 @@ class TransitionMatrix:
         return cls(rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TransitionMatrix) and self.rows == other.rows
+        return isinstance(other, TransitionMatrix) and self.columns == other.columns
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self.columns)
 
     def __repr__(self) -> str:
         return f"TransitionMatrix({[list(map(str, r)) for r in self.rows]})"
@@ -571,20 +565,21 @@ def _congruence_pivots(a: SymmetricMatrix) -> tuple[tuple[Fraction, ...], tuple[
     return a._pivots
 
 
-def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, SymmetricMatrix]:
-    """Rational congruence diagonalization: returns (S, D) with S^T A S = D.
+def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, tuple[Fraction, ...]]:
+    """Rational congruence diagonalization: returns (S, d) with S^T A S = diag(d).
 
     Pivots use a nonzero diagonal entry when one exists in the trailing block
     (swapping it into place); when the trailing diagonal is all zero but some
     off-diagonal entry survives, that row/column pair is first folded together
     to manufacture a nonzero diagonal pivot.  A fully zero trailing block
-    contributes zero diagonal entries.  No square roots are ever taken, so D
-    is not normalized to entries of modulus one.
+    contributes zero entries of d.  No square roots are ever taken, so d is
+    not normalized to entries of modulus one.
 
-    D comes from fraction-free integer elimination (_congruence_pivots); S
-    replays its basis changes, swaps and e_dst += f e_src with dst != src, on
-    the identity's integer columns.  So det S = (-1)^swaps by construction
-    and is not checked.
+    d is the tuple of Fractions that fraction-free integer elimination
+    (_congruence_pivots) keeps on a, returned as it is.  S replays its basis
+    changes, swaps and e_dst += f e_src with dst != src, on the identity's
+    integer columns.  So det S = (-1)^swaps by construction and is not
+    checked.
     """
     n = a.n
     diag, ops = _congruence_pivots(a)
@@ -602,7 +597,7 @@ def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, Symmetri
             g = math.gcd(q_d * f_d, *x)
             cols[dst] = (q_d * f_d // g, tuple([v // g for v in x]))
     det = (-1) ** sum(op[0] == "swap" for op in ops)
-    return TransitionMatrix._unimodular(tuple(cols), det), SymmetricMatrix.diagonal(diag)
+    return TransitionMatrix._unimodular(tuple(cols), det), diag
 
 
 def signature(a: SymmetricMatrix) -> Signature:

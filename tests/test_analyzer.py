@@ -465,7 +465,7 @@ def test_hard_diagonal_forms(diag, bound, text):
     # (0.14 s and 1.45 s on a shared 2-core x86-64 machine): the best of up
     # to 3 runs must stay under them.
     a = SymmetricMatrix.diagonal(diag)
-    assert sum(diag) == 0 and _pair_isotropic(a.diagonal_entries()) is None
+    assert sum(diag) == 0 and _pair_isotropic([Fraction(x) for x in diag]) is None
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
@@ -505,7 +505,7 @@ def test_locally_isotropic_n4_form_still_exhausts_the_search():
                          [F(43, 6), F(43, 6), 0, F(-11, 3)],
                          [F(-9, 2), 0, 2, 0],
                          [F(-11, 3), F(-11, 3), 0, F(11, 3)]])
-    diag = lagrange_diagonalize(a)[1].diagonal_entries()
+    diag = lagrange_diagonalize(a)[1]
     assert diag == (F(35, 3), F(387, 140), F(-5, 2), F(77, 43))
     assert _anisotropic_prime(diag) is None
     assert classify(a).to_text() == (
@@ -532,7 +532,7 @@ def test_permuted_diagonal_form_needs_no_new_diagonalization(seed):
     s, d = lagrange_diagonalize(
         congruence_sym(SymmetricMatrix.diagonal(diag), TransitionMatrix.permutation(perm)))
     assert s == TransitionMatrix.identity(n)
-    assert d == SymmetricMatrix.diagonal([diag[p] for p in perm])
+    assert d == tuple([diag[p] for p in perm])
 
 # -- probing ----------------------------------------------------------------------
 

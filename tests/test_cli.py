@@ -198,6 +198,59 @@ def test_certify(files, capsys):
     )
 
 
+# expand on a form whose elimination starts with a fold (zero diagonal), one
+# that starts with a swap, and an indefinite one with negative pivots and 1/2
+# denominators in S; certify on rational positive definite forms at n = 3, 4.
+# Each entry is (command, form, stdout); all were captured through cli.main
+# before lagrange_diagonalize returned its diagonal as a tuple.
+_DIAGONALIZATION_CLI_GOLDENS = {
+    "expand_fold_n3": (
+        "expand", "3\n0 1 2\n1 0 3\n2 3 0\n",
+        "12 - 6*l1_2*l1_3 + 4*l1_2*l2_3 - 2*l1_3*l2_3\n"),
+    "expand_swap_n3": (
+        "expand", "3\n0 1 0\n1 2 0\n0 0 1\n",
+        "-1 + l1_2^2 + 2*l1_3^2 - 2*l1_3*l2_3\n"),
+    "expand_negative_pivot_n4": (
+        "expand", "4\n-2 1 3 0\n1 1/2 0 1\n3 0 1 -1/2\n0 1 -1/2 -1\n",
+        "21 - 5/4*l1_2^2 - l1_2*l1_3 - 2*l1_2*l1_4 - 6*l1_2*l2_3 + 3*l1_2*l2_4"
+        " + 6*l1_2*l3_4 - 3/2*l1_3^2 + 1/2*l1_3*l1_4 + 2*l1_3*l2_3 - l1_3*l2_4"
+        " - 2*l1_3*l3_4 + 1/2*l1_4^2 - 7*l1_4*l2_3 - 2*l1_4*l2_4 - 3*l1_4*l3_4"
+        " + 2*l2_3^2 - 2*l2_3*l2_4 - 4*l2_3*l3_4 - 11*l2_4^2 + 6*l2_4*l3_4"
+        " - 2*l3_4^2 + l1_2^2*l3_4^2 - 2*l1_2*l1_3*l2_4*l3_4"
+        " + 2*l1_2*l1_4*l2_3*l3_4 + l1_3^2*l2_4^2 - 2*l1_3*l1_4*l2_3*l2_4"
+        " + l1_4^2*l2_3^2\n"),
+    "certify_n3": (
+        "certify", "3\n2 1/2 0\n1/2 3/2 1/3\n0 1/3 1\n",
+        "n: 3\n"
+        "scale: 1\n"
+        "weight: 91/36 ; sqroot: 1\n"
+        "weight: 91/99 ; sqroot: l1_2\n"
+        "weight: 11/8 ; sqroot: -8/33*l1_2 + l1_3\n"
+        "weight: 2 ; sqroot: -1/4*l1_3 + l2_3\n"),
+    "certify_n4": (
+        "certify", "4\n3 1 0 1/2\n1 2 1/2 0\n0 1/2 5/2 1\n1/2 0 1 4/3\n",
+        "n: 4\n"
+        "scale: 1\n"
+        "weight: 431/48 ; sqroot: 1\n"
+        "weight: 431/240 ; sqroot: l1_2\n"
+        "weight: 2155/1692 ; sqroot: -3/10*l1_2 + l1_3\n"
+        "weight: 47/12 ; sqroot: 11/47*l1_2 - 21/47*l1_3 + l1_4\n"
+        "weight: 431/188 ; sqroot: -1/3*l1_3 + l2_3\n"
+        "weight: 141/20 ; sqroot: 1/6*l1_2 + 7/47*l1_3 - 1/3*l1_4 - 21/47*l2_3 + l2_4\n"
+        "weight: 5 ; sqroot: -1/20*l1_2 + 1/5*l1_3 + 1/10*l1_4 - 1/10*l2_3"
+        " - 3/10*l2_4 + l3_4\n"
+        "weight: 1 ; sqroot: l1_2*l3_4 - l1_3*l2_4 + l1_4*l2_3\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(_DIAGONALIZATION_CLI_GOLDENS))
+def test_expand_and_certify_goldens(tmp_path, capsys, name):
+    command, form, expected = _DIAGONALIZATION_CLI_GOLDENS[name]
+    path = tmp_path / "form.txt"
+    path.write_text(form, encoding="utf-8")
+    assert run(capsys, [command, str(path)]) == (0, expected, "")
+
+
 def test_certify_rejects_indefinite(files, capsys):
     code, _, err = run(capsys, ["certify", files["indef2"]])
     assert code == 2

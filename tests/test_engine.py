@@ -121,7 +121,7 @@ def test_packed_roots_are_multilinear(n):
     # field of the kernel holds at most 1 and a square at most 2: no carry.
     a = random_symmetric(random.Random(800 + n), n)
     s, d = lagrange_diagonalize(a)
-    terms, _ = _packed_pfaffians(s.columns, d.diagonal_entries())
+    terms, _ = _packed_pfaffians(s.columns, d)
     assert len(terms) == 2 ** (n - 1)
     for _, size, root in terms:
         assert root

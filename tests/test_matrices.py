@@ -100,16 +100,14 @@ def test_congruence_dimension_mismatch():
 def test_lagrange_already_diagonal():
     s, d = lagrange_diagonalize(SymmetricMatrix.diagonal([2, -3]))
     assert s == TransitionMatrix.identity(2)
-    assert d == SymmetricMatrix.diagonal([2, -3])
+    assert d == (2, -3)
 
 
 def test_lagrange_hyperbolic_plane():
     a = SymmetricMatrix([[0, 1], [1, 0]])
     s, d = lagrange_diagonalize(a)
-    assert congruence_sym(a, s) == d
-    assert d.is_diagonal()
-    diag = d.diagonal_entries()
-    assert sorted(x > 0 for x in diag) == [False, True]
+    assert congruence_sym(a, s) == SymmetricMatrix.diagonal(d)
+    assert sorted(x > 0 for x in d) == [False, True]
     # independent oracle: eigenvalue signs from the characteristic polynomial
     assert signature_by_charpoly(a.rows) == (1, 1, 0)
 
@@ -117,8 +115,8 @@ def test_lagrange_hyperbolic_plane():
 def test_lagrange_rank_one():
     a = SymmetricMatrix([[1, 2], [2, 4]])
     s, d = lagrange_diagonalize(a)
-    assert congruence_sym(a, s) == d
-    assert list(d.diagonal_entries()).count(Fraction(0)) == 1
+    assert congruence_sym(a, s) == SymmetricMatrix.diagonal(d)
+    assert d.count(0) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -127,23 +125,22 @@ def test_lagrange_postcondition_random(n):
     for _ in range(10):
         a = random_symmetric(rng, n)
         s, d = lagrange_diagonalize(a)
-        assert d.is_diagonal()
-        assert congruence_sym(a, s) == d
+        assert congruence_sym(a, s) == SymmetricMatrix.diagonal(d)
 
 
 def _assert_matches_reference(a):
-    """S and D equal the Fraction reference; each integer column of S is reduced, q > 0."""
+    """S and d match the Fraction reference; each integer column of S is reduced, q > 0."""
     s, d = lagrange_diagonalize(a)
     ref_s, ref_d = lagrange_reference(a)
-    assert (s.rows, d.rows) == (ref_s, ref_d)
+    assert type(d) is tuple and all(type(x) is Fraction for x in d)
+    assert (s.rows, SymmetricMatrix.diagonal(d).rows) == (ref_s, ref_d)
     assert s.det == det_rational(s.rows)
     for k, (q, ints) in enumerate(s.columns):
         assert q > 0 and math.gcd(q, *ints) == 1
         assert tuple(Fraction(x, q) for x in ints) == tuple(row[k] for row in ref_s)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_lagrange_matches_reference(n):
+def _reference_forms(n):
     rng = random.Random(500 + n)
     forms = [SymmetricMatrix.zero(n)]
     for _ in range(12):
@@ -153,6 +150,12 @@ def test_lagrange_matches_reference(n):
         if n > 1:
             forms.append(random_singular(rng, n))
             forms.append(random_indefinite(rng, n))
+    return forms
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lagrange_matches_reference(n):
+    forms = _reference_forms(n)
     for a in forms:
         _assert_matches_reference(a)
     if n > 1:
@@ -185,6 +188,32 @@ def test_lagrange_integer_basis_per_elimination_feature(rows, feature):
         assert s.columns[1] == (2, (1, 2, 0))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_transition_equality_reads_columns(n):
+    # Both constructors store canonical columns, so == and hash read them and
+    # build no Fraction view, and they agree with == on the rows.
+    built = []
+    for a in _reference_forms(n):
+        s, _ = lagrange_diagonalize(a)
+        t, _ = lagrange_diagonalize(SymmetricMatrix(a.rows))  # no shared _pivots
+        assert s == t and hash(s) == hash(t)
+        assert s._rows is None and t._rows is None
+        u = TransitionMatrix(s.rows)
+        assert u == s and hash(u) == hash(s) and u.columns == s.columns
+        built.append(s)
+    # A column 2/4, 6/4 is stored as (2, (1, 3)); the column 1, 3 has the
+    # same ints over q = 1 and is a different matrix.
+    half = TransitionMatrix([[Fraction(2, 4), 0], [Fraction(6, 4), 1]])
+    assert half.columns[0] == (2, (1, 3))
+    built += [half, TransitionMatrix([[Fraction(1, 2), 0], [Fraction(3, 2), 1]]),
+              TransitionMatrix([[1, 0], [3, 1]])]
+    for s in built:
+        for t in built:
+            assert (s == t) == (s.rows == t.rows)
+            if s == t:
+                assert hash(s) == hash(t)
+
+
 def test_lagrange_diagonalize_n30_is_fast():
     # S is unimodular by construction: no determinant of S is computed.
     a = scrambled_positive_definite(random.Random(3030), 30)
@@ -192,7 +221,7 @@ def test_lagrange_diagonalize_n30_is_fast():
     s, d = lagrange_diagonalize(a)
     elapsed = time.perf_counter() - start
     assert s.det in (1, -1)
-    assert all(x > 0 for x in d.diagonal_entries())
+    assert all(x > 0 for x in d)
     assert elapsed < 0.5, f"lagrange_diagonalize at n=30 took {elapsed:.2f}s"
 
 
