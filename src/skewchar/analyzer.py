@@ -43,8 +43,9 @@ from .matrices import (
     SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
+    _int_bareiss_det,
+    _kernel_matrix,
     _random_entries,
-    _scaled_det,
     _scaled_matrix,
     congruence_sym,
     lagrange_diagonalize,
@@ -513,14 +514,21 @@ def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,
 
     Trial k draws L as random_skew(a.n, seed + k, bound) does, but hands the
     integer draws straight to the determinant kernel: a trial builds no
-    Fraction, Var or SkewMatrix.  A is stored as the kernel's integer rows,
-    so a trial only folds in its draws and eliminates.
+    Fraction, Var or SkewMatrix.  _kernel_matrix folds the draws into A's
+    stored integer rows, scaling row i by a positive integer, so the sign
+    of det(A - L) is the sign of the integer determinant: a trial folds and
+    eliminates, and does no division by the scales.  seed must be at least
+    0: Random(-s) draws the same stream as Random(s), so a negative seed
+    would repeat trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
     positives = negatives = zeros = 0
     for k in range(1, trials + 1):
-        value = _scaled_det(a.int_rows, _random_entries(a.n, seed + k, bound))
+        m, _ = _kernel_matrix(a.int_rows, _random_entries(a.n, seed + k, bound))
+        value = _int_bareiss_det(m)
         if value > 0:
             positives += 1
         elif value < 0:

@@ -160,9 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="tally exact signs over random skew matrices")
     p.add_argument("matrix", help="symmetric matrix file")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--trials", type=int, default=1000, metavar="N",
+                   help="number of random skew matrices L (default 1000); each "
+                        "trial costs one exact n x n determinant")
+    p.add_argument("--seed", type=int, default=0, metavar="K",
+                   help="trial k = 1..N draws L from seed K + k (default 0; "
+                        "K must be at least 0)")
+    p.add_argument("--bound", type=int, default=10, metavar="B",
+                   help="each entry of L is p/q with |p| <= B and 1 <= q <= B "
+                        "(default 10)")
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("selftest", help="run the embedded deterministic checks")

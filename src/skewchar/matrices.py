@@ -8,10 +8,15 @@ matrix classes store its input.  SymmetricMatrix.int_rows holds row a_i as
 SkewMatrix.entries holds each nonzero l_ij = p/q, i < j, as (i, j, p, q),
 0-based, p/q reduced, sorted.  Both are canonical, so == and hash read them;
 the Fraction views rows and upper are built on first use.  The kernel
-rescales row i to c = lcm(c_i, q, ...) and runs two-step fraction-free
-(Bareiss) elimination: each pass eliminates two columns through 3 x 3 minors,
-which Sylvester's identity makes exact multiples of the square of the
-previous pivot, so every entry costs one exact division per two columns.
+has two steps.  _kernel_matrix folds L into the stored rows: one pass over
+L collects each row's denominators, row i is scaled to
+c = lcm(c_i, q of each entry in row i), and each entry of L is subtracted
+or added into its two slots.  _int_bareiss_det then runs two-step
+fraction-free (Bareiss) elimination: each pass eliminates two columns
+through 3 x 3 minors, which Sylvester's identity makes exact multiples of
+the square of the previous pivot, so every entry costs one exact division
+per two columns.  _scaled_det divides by the product of the scales;
+sign_probe reads the sign of the integer, as every scale is positive.
 
 Congruence diagonalization never introduces square roots: one routine,
 _congruence_pivots, runs symmetric fraction-free elimination on c*A (c the
@@ -149,34 +154,38 @@ def _kernel_row(pairs: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]
     return c, tuple([p * (c // q) for p, q in pairs])
 
 
-def _scaled_det(int_rows: Sequence[tuple[int, tuple[int, ...]]],
-                upper: Iterable[tuple]) -> Fraction:
-    """Exact det(R - L) for R given by its kernel rows and a skew L by its entries.
+def _kernel_matrix(int_rows: Sequence[tuple[int, tuple[int, ...]]],
+                   upper: Sequence[tuple[int, int, int, int]],
+                   ) -> tuple[list[list[int]], list[int]]:
+    """(m, scales): R - L as integer rows, row i scaled by scales[i] > 0.
 
     Row i of R is (c_i, c_i * r_i), as in SymmetricMatrix.int_rows.  L is a
-    list of (i, j, p, q) tuples, 0-based with i < j: l_ij = p/q and
-    l_ji = -p/q, as in SkewMatrix.entries.  One pass over L writes -L into
-    dense rows of numerators and denominators, both mirrored slots per
-    entry (0/1 where L is zero).  Row i of R - L is then scaled by c, the
-    lcm of c_i and its row of denominators: entry j is the stored c_i * r_ij
-    times c // c_i plus the numerator times c // q.  The integer matrix goes
-    through _int_bareiss_det, and the result is det / prod(c).
+    sequence of (i, j, p, q) tuples, 0-based with i < j and q > 0:
+    l_ij = p/q and l_ji = -p/q, as in SkewMatrix.entries.  One pass over L
+    takes each row's denominators into its scale: scales[i] is the lcm of
+    c_i and the q of every entry in row i.  Row i of m is the stored
+    c_i * r_i times scales[i] // c_i; a second pass subtracts
+    p * (scales[i] // q) at (i, j) and adds p * (scales[j] // q) at (j, i).
+    So m = diag(scales) (R - L).
     """
-    n = len(int_rows)
-    ps = [[0] * n for _ in range(n)]
-    qs = [[1] * n for _ in range(n)]
+    scales = [c for c, _ in int_rows]
+    for i, j, _, q in upper:
+        if scales[i] % q:
+            scales[i] = math.lcm(scales[i], q)
+        if scales[j] % q:
+            scales[j] = math.lcm(scales[j], q)
+    m = [[x * f for x in ints] for (c_i, ints), c in zip(int_rows, scales) for f in [c // c_i]]
     for i, j, p, q in upper:
-        ps[i][j] = -p
-        ps[j][i] = p
-        qs[i][j] = qs[j][i] = q
-    scale = 1
-    m: list[list[int]] = []
-    for (c_row, ints), p_row, q_row in zip(int_rows, ps, qs):
-        c = math.lcm(c_row, *q_row)
-        f = c // c_row
-        m.append([x * f + p * (c // q) for x, p, q in zip(ints, p_row, q_row)])
-        scale *= c
-    return Fraction(_int_bareiss_det(m), scale)
+        m[i][j] -= p * (scales[i] // q)
+        m[j][i] += p * (scales[j] // q)
+    return m, scales
+
+
+def _scaled_det(int_rows: Sequence[tuple[int, tuple[int, ...]]],
+                upper: Sequence[tuple[int, int, int, int]]) -> Fraction:
+    """Exact det(R - L): _int_bareiss_det of the _kernel_matrix, over prod(scales)."""
+    m, scales = _kernel_matrix(int_rows, upper)
+    return Fraction(_int_bareiss_det(m), math.prod(scales))
 
 
 def det_rational(rows: Sequence[Sequence[Scalar]]) -> Fraction:

@@ -565,6 +565,18 @@ def test_sign_probe_determinism_and_validation():
         sign_probe(a, trials=0, bound=0)
 
 
+def test_sign_probe_refuses_a_negative_seed():
+    # Random(-s) draws the stream of Random(s), so seed -20 would repeat
+    # trials: its trial k would draw what trial 40 - k draws.
+    assert random_skew(4, -3) == random_skew(4, 3)
+    a = SymmetricMatrix.identity(2)
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        sign_probe(a, trials=40, seed=-20)
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        sign_probe(a, trials=1, seed=-1)
+    assert sign_probe(a, trials=1, seed=0) == ProbeReport(1, 0, 0)
+
+
 def oracle_probe(a: SymmetricMatrix, trials: int, seed: int, bound: int) -> ProbeReport:
     """Tallies of det(A - L) by cofactor expansion over random_skew draws."""
     signs = []
@@ -597,7 +609,8 @@ def test_sign_probe_matches_cofactor_oracle(n):
     rng = random.Random(7400 + n)
     forms = [random_symmetric(rng, n, 2), SymmetricMatrix.diagonal([1, -1, 0, 2, -2, 0][:n])]
     for a in forms:
-        for bound in (1, 3, 10):
+        # 2**40 draws numerators wider than 32 bits and row scales past 64.
+        for bound in (1, 3, 10, 1000, 2**40):
             seed = rng.randint(0, 10**6)
             assert sign_probe(a, trials=12, seed=seed, bound=bound) == \
                 oracle_probe(a, 12, seed, bound)

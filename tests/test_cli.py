@@ -272,6 +272,21 @@ def test_probe_header_and_tallies(files, capsys):
     )
 
 
+def test_probe_refuses_a_negative_seed(files, capsys):
+    code, out, err = run(capsys, ["probe", files["id2"], "--seed", "-20", "--trials", "40"])
+    assert (code, out, err) == (2, "", "error: seed must be at least 0\n")
+
+
+def test_probe_help_gives_defaults_and_cost(capsys):
+    with pytest.raises(SystemExit):
+        main(["probe", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for text in ("--trials N number of random skew matrices L (default 1000)",
+                 "each trial costs one exact n x n determinant",
+                 "(default 0; K must be at least 0)", "1 <= q <= B (default 10)"):
+        assert text in out
+
+
 def _token(num, den):
     # Spelled as written, not reduced: 2/4 stays 2/4 and 0/3 stays 0/3.
     return str(num) if den == 1 else f"{num}/{den}"

@@ -34,7 +34,8 @@ from skewchar import (
     random_skew,
     signature,
 )
-from skewchar.matrices import _congruence_pivots, _random_entries, _scaled_det
+from skewchar.matrices import (_congruence_pivots, _kernel_matrix, _random_entries,
+                               _scaled_det)
 
 
 def test_symmetric_constructor_rejects_asymmetry():
@@ -354,6 +355,15 @@ _SPLIT_KERNEL_CASES = {
     "large_q": ([[Fraction(1, 3), 1, 0], [1, 2, Fraction(1, 6)], [0, Fraction(1, 6), 5]],
                 [(0, 1, -999, 1000), (0, 2, 13, 997), (1, 2, 500, 999)]),
     "no_l": ([[_H, 1], [1, Fraction(1, 3)]], []),
+    # L = () beside rows with their own denominators 2, 15 and 7.
+    "empty_l": ([[_H, 1, 0], [1, Fraction(2, 3), Fraction(1, 5)],
+                 [0, Fraction(1, 5), Fraction(3, 7)]], ()),
+    # Row 2 of L is all zero; rows 0, 1 and 3 carry denominators 2, 3 and 5.
+    "l_row_zero": ([[1, 0, 2, 0], [0, _H, 1, 1], [2, 1, 3, 0], [0, 1, 0, Fraction(1, 3)]],
+                   [(0, 1, 1, 2), (0, 3, -2, 3), (1, 3, 4, 5)]),
+    # A denominator past 64 bits: its row scale is wider than a machine word.
+    "q_past_64_bits": ([[2, _H, 0], [_H, 1, 1], [0, 1, Fraction(1, 3)]],
+                       [(0, 1, 3, 2**64 + 1), (1, 2, -1, 2)]),
     "singular": ([[1, 2], [2, 4]], []),
     # The two-step kernel's branches.  R - L has the singular leading block
     # [[1/2, 0], [1, 0]]; row 2 has a nonzero one-step entry in column 1 and
@@ -396,6 +406,38 @@ def test_split_kernel_matches_cofactor_oracle(case):
     # The stored rows are left as they were, so a second call agrees.
     assert int_rows == SymmetricMatrix(rows).int_rows
     assert _scaled_det(int_rows, upper) == expected
+
+
+def _fold_reference(rows, upper):
+    """diag(c) (R - L) as int rows and c, c_i the lcm of R's row i and L's row i denominators."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    dens = [[x.denominator for x in row] for row in m]
+    for i, j, p, q in upper:
+        m[i][j] -= Fraction(p, q)
+        m[j][i] += Fraction(p, q)
+        dens[i].append(q)
+        dens[j].append(q)
+    scales = [math.lcm(*row) for row in dens]
+    folded = [[m[i][j] * scales[i] for j in range(n)] for i in range(n)]
+    assert all(x.denominator == 1 for row in folded for x in row)
+    return [[int(x) for x in row] for row in folded], scales
+
+
+def test_kernel_matrix_matches_per_row_lcm_reference():
+    # Seeded (R, L) pairs: the small forms, the kernel cases, and probe draws,
+    # whose p/q are not reduced, so a q may share a factor with its p.
+    rng = random.Random(2121)
+    pairs = [_small_form(rng) for _ in range(300)] + list(_SPLIT_KERNEL_CASES.values())
+    for n in range(1, 9):
+        rows = random_symmetric(rng, n, 3).rows
+        for bound in (1, 10, 2**40):
+            pairs.append((rows, _random_entries(n, rng.randint(0, 10**6), bound)))
+    for rows, upper in pairs:
+        int_rows = SymmetricMatrix(rows).int_rows
+        m, scales = _kernel_matrix(int_rows, upper)
+        assert (m, scales) == _fold_reference(rows, upper), (rows, upper)
+        assert all(c > 0 for c in scales)
 
 
 def _small_form(rng):
