@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -512,22 +513,24 @@ def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,
                bound: int = 10) -> ProbeReport:
     """Tally the exact signs of det(A - L) over seeded random skew matrices.
 
-    Trial k draws L as random_skew(a.n, seed + k, bound) does, but hands the
-    integer draws straight to the determinant kernel: a trial builds no
-    Fraction, Var or SkewMatrix.  _kernel_matrix folds the draws into A's
-    stored integer rows, scaling row i by a positive integer, so the sign
-    of det(A - L) is the sign of the integer determinant: a trial folds and
-    eliminates, and does no division by the scales.  seed must be at least
-    0: Random(-s) draws the same stream as Random(s), so a negative seed
-    would repeat trials.
+    The trials draw L in turn from one Random(seed) stream, so trial 1
+    draws random_skew(a.n, seed, bound) and adjacent seeds draw unrelated
+    samples.  The integer draws go straight to the determinant kernel: a
+    trial builds no Fraction, Var or SkewMatrix.  _kernel_matrix folds the
+    draws into A's stored integer rows, scaling row i by a positive
+    integer, so the sign of det(A - L) is the sign of the integer
+    determinant: a trial folds and eliminates, and does no division by the
+    scales.  seed must be at least 0: Random(-s) draws the same stream as
+    Random(s), so seed -5 would repeat seed 5.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if seed < 0:
         raise ValueError("seed must be at least 0")
+    bits = random.Random(seed).getrandbits
     positives = negatives = zeros = 0
-    for k in range(1, trials + 1):
-        m, _ = _kernel_matrix(a.int_rows, _random_entries(a.n, seed + k, bound))
+    for _ in range(trials):
+        m, _ = _kernel_matrix(a.int_rows, _random_entries(a.n, bits, bound))
         value = _int_bareiss_det(m)
         if value > 0:
             positives += 1

@@ -79,10 +79,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         raise _InputError(
             f"form is {report.verdict.value}: det(A - L) is sign-definite, "
             "no sign-change witness exists")
-    if report.witness.lambda_zero is None:
-        if report.witness.anisotropic_at is not None:
-            raise AnisotropicForm(report.witness)
-        raise WitnessSearchExhausted(report.witness)
+    w = report.witness
+    if w.lambda_zero is None:  # the refusal line of the exception classify caught
+        proved = w.anisotropic_at is not None
+        print(f"error: {AnisotropicForm(w) if proved else WitnessSearchExhausted(w)}",
+              file=sys.stderr)
+        return 4 if proved else 1
     print(report.to_text(), end="")
     return 0
 
@@ -164,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of random skew matrices L (default 1000); each "
                         "trial costs one exact n x n determinant")
     p.add_argument("--seed", type=int, default=0, metavar="K",
-                   help="trial k = 1..N draws L from seed K + k (default 0; "
-                        "K must be at least 0)")
+                   help="the trials draw L in turn from one random stream "
+                        "seeded with K (default 0; K must be at least 0)")
     p.add_argument("--bound", type=int, default=10, metavar="B",
                    help="each entry of L is p/q with |p| <= B and 1 <= q <= B "
                         "(default 10)")
@@ -187,12 +189,6 @@ def main(argv: list[str] | None = None) -> int:
     except ExpansionTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except WitnessSearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AnisotropicForm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,16 +7,18 @@ matrix classes store its input.  SymmetricMatrix.int_rows holds row a_i as
 (c_i, c_i * a_i), c_i the lcm of its denominators, the second an int tuple.
 SkewMatrix.entries holds each nonzero l_ij = p/q, i < j, as (i, j, p, q),
 0-based, p/q reduced, sorted.  Both are canonical, so == and hash read them;
-the Fraction views rows and upper are built on first use.  The kernel
-has two steps.  _kernel_matrix folds L into the stored rows: one pass over
-L collects each row's denominators, row i is scaled to
-c = lcm(c_i, q of each entry in row i), and each entry of L is subtracted
-or added into its two slots.  _int_bareiss_det then runs two-step
-fraction-free (Bareiss) elimination: each pass eliminates two columns
-through 3 x 3 minors, which Sylvester's identity makes exact multiples of
-the square of the previous pivot, so every entry costs one exact division
-per two columns.  _scaled_det divides by the product of the scales;
-sign_probe reads the sign of the integer, as every scale is positive.
+the Fraction views rows and upper are built on first use.  A constructor
+converts each value once; -L and SkewMatrix.from_full build entries
+directly and skip the validating constructor.  The kernel has two steps.
+_kernel_matrix folds L into the stored rows: one pass over L collects each
+row's denominators, row i is scaled to c = lcm(c_i, q of each entry in
+row i), and each entry of L is subtracted or added into its two slots.
+_int_bareiss_det then runs two-step fraction-free (Bareiss) elimination:
+each pass eliminates two columns through 3 x 3 minors, which Sylvester's
+identity makes exact multiples of the square of the previous pivot, so
+every entry costs one exact division per two columns.  _scaled_det divides
+by the product of the scales; sign_probe reads the sign of the integer, as
+every scale is positive.
 
 Congruence diagonalization never introduces square roots: one routine,
 _congruence_pivots, runs symmetric fraction-free elimination on c*A (c the
@@ -40,10 +42,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .polynomials import (Scalar, Var, _as_fraction, _check_ascii, _parse_digits,
                           _parse_rational, _shown)
+
+_ZERO = Fraction(0)
 
 
 class DimensionMismatch(ValueError):
@@ -54,15 +58,13 @@ class MatrixParseError(ValueError):
     """Matrix text does not conform to the documented file format."""
 
 
-def _fraction_rows(rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple([tuple([_as_fraction(x) for x in row]) for row in rows])
-
-
-def _check_square(rows: tuple[tuple[Fraction, ...], ...]) -> int:
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
+def _square_rows(rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows as Fractions, refused unless square and nonempty."""
+    frows = tuple([tuple([_as_fraction(x) for x in row]) for row in rows])
+    n = len(frows)
+    if n == 0 or any(len(row) != n for row in frows):
         raise ValueError("matrix must be square and nonempty")
-    return n
+    return frows
 
 
 def _matmul(a, b):
@@ -190,9 +192,8 @@ def _scaled_det(int_rows: Sequence[tuple[int, tuple[int, ...]]],
 
 def det_rational(rows: Sequence[Sequence[Scalar]]) -> Fraction:
     """Exact determinant of a square matrix of rationals: _scaled_det with L = 0."""
-    frows = _fraction_rows(rows)
-    _check_square(frows)
-    return _scaled_det([_kernel_row([x.as_integer_ratio() for x in row]) for row in frows], ())
+    return _scaled_det([_kernel_row([x.as_integer_ratio() for x in row])
+                        for row in _square_rows(rows)], ())
 
 
 class Signature(NamedTuple):
@@ -212,8 +213,7 @@ class SymmetricMatrix:
     __slots__ = ("n", "int_rows", "_rows", "_pivots")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]) -> None:
-        frows = _fraction_rows(rows)
-        _check_square(frows)
+        frows = _square_rows(rows)
         self._store(tuple([tuple([x.as_integer_ratio() for x in row]) for row in frows]),
                     ValueError)
         self._rows = frows
@@ -305,21 +305,23 @@ class SkewMatrix:
     __slots__ = ("n", "entries", "_upper")
 
     def __init__(self, n: int, upper: dict | Iterable = ()) -> None:
+        if type(n) is not int:
+            raise TypeError(f"dimension must be an int, got {type(n).__name__}")
         if n < 1:
             raise ValueError("dimension must be at least 1")
         items = upper.items() if isinstance(upper, dict) else upper
-        store: dict[Var, Fraction] = {}
+        pairs: dict[Var, tuple[int, int]] = {}
         for var, value in items:
             if not isinstance(var, Var):
                 raise TypeError("upper-triangle keys must be Var instances")
             if var.j > n:
                 raise ValueError(f"{var} out of range for dimension {n}")
-            value = _as_fraction(value)
-            if value:
-                store[var] = value
+            if var in pairs:
+                raise ValueError(f"duplicate entry for {var}")
+            pairs[var] = _as_fraction(value).as_integer_ratio()
         self.n = n
-        self.entries = tuple(sorted((v.i - 1, v.j - 1, *c.as_integer_ratio())
-                                    for v, c in store.items()))
+        self.entries = tuple(sorted([(i - 1, j - 1, p, q) for (i, j), (p, q) in pairs.items()
+                                     if p]))
         self._upper = None
 
     @classmethod
@@ -342,38 +344,34 @@ class SkewMatrix:
 
     @classmethod
     def from_full(cls, rows: Iterable[Iterable[Scalar]]) -> "SkewMatrix":
-        frows = _fraction_rows(rows)
-        n = _check_square(frows)
+        frows = _square_rows(rows)
+        n = len(frows)
         for i in range(n):
             if frows[i][i] != 0:
                 raise ValueError(f"nonzero diagonal entry at ({i + 1}, {i + 1})")
             for j in range(i + 1, n):
                 if frows[i][j] != -frows[j][i]:
                     raise ValueError(f"not skew-symmetric at ({i + 1}, {j + 1})")
-        return cls(n, {Var(i + 1, j + 1): frows[i][j]
-                       for i in range(n) for j in range(i + 1, n)})
+        return cls._trusted(n, tuple([(i, j, *frows[i][j].as_integer_ratio())
+                                      for i in range(n) for j in range(i + 1, n)
+                                      if frows[i][j]]))
 
     def entry(self, i: int, j: int) -> Fraction:
         """0-based signed entry: upper values positive, mirrored ones negated."""
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.upper.get(Var(i + 1, j + 1), Fraction(0))
-        return -self.upper.get(Var(j + 1, i + 1), Fraction(0))
+        # upper is keyed by Var, which equals and hashes as its (i, j) tuple.
+        if i <= j:
+            return self.upper.get((i + 1, j + 1), _ZERO)
+        return -self.upper.get((j + 1, i + 1), _ZERO)
 
     def full_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple([tuple([self.entry(i, j) for j in range(self.n)])
                       for i in range(self.n)])
 
     def __neg__(self) -> "SkewMatrix":
-        return SkewMatrix(self.n, {v: -c for v, c in self.upper.items()})
+        return SkewMatrix._trusted(self.n, tuple([(i, j, -p, q) for i, j, p, q in self.entries]))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SkewMatrix)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
+        return isinstance(other, SkewMatrix) and (self.n, self.entries) == (other.n, other.entries)
 
     def __hash__(self) -> int:
         return hash((self.n, self.entries))
@@ -428,8 +426,8 @@ class TransitionMatrix:
     __slots__ = ("n", "det", "columns", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]) -> None:
-        frows = _fraction_rows(rows)
-        n = _check_square(frows)
+        frows = _square_rows(rows)
+        n = len(frows)
         columns = tuple([_kernel_row([x.as_integer_ratio() for x in c]) for c in zip(*frows)])
         d = _scaled_det(columns, ())  # det S^T = det S
         if d == 0:
@@ -453,7 +451,7 @@ class TransitionMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "TransitionMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.diagonal([1] * n)
 
     @classmethod
     def diagonal(cls, values: Sequence[Scalar]) -> "TransitionMatrix":
@@ -621,18 +619,18 @@ def signature(a: SymmetricMatrix) -> Signature:
     return Signature(pos, neg, a.n - pos - neg)
 
 
-def _random_entries(n: int, seed: int, bound: int) -> list[tuple[int, int, int, int]]:
-    """The draws of random_skew as (i, j, p, q) tuples, 0-based, zero p dropped.
+def _random_entries(n: int, bits: Callable[[int], int],
+                    bound: int) -> list[tuple[int, int, int, int]]:
+    """The next skew matrix drawn from a stream, as (i, j, p, q), 0-based, zero p dropped.
 
     p = randint(-bound, bound) is drawn before q = randint(1, bound), entry by
     entry in row-major order of the strict upper triangle.  Each draw is made
-    as Random.randint makes it, straight from Random(seed).getrandbits: for
-    a span of s values, r = getrandbits(s.bit_length()), drawn again while
+    as Random.randint makes it, straight from the stream's getrandbits, bits:
+    for a span of s values, r = bits(s.bit_length()), drawn again while
     r >= s.  So the values are those of randint, without its per-call checks.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    bits = random.Random(seed).getrandbits
     span_p, span_q = 2 * bound + 1, bound
     k_p, k_q = span_p.bit_length(), span_q.bit_length()
     entries = []
@@ -652,17 +650,17 @@ def _random_entries(n: int, seed: int, bound: int) -> list[tuple[int, int, int, 
 def random_skew(n: int, seed: int, bound: int = 10) -> SkewMatrix:
     """Deterministic random skew matrix: each entry p/q with |p| <= bound, 1 <= q <= bound.
 
-    The draws come from _random_entries, the same values Random(seed).randint
-    gives, reduced to the canonical entries; sign_probe hands them to the
-    determinant kernel directly without building this matrix.
+    The draws come from _random_entries on a fresh Random(seed) stream, the
+    values Random(seed).randint gives, reduced to the canonical entries: the
+    L of trial 1 of sign_probe with the same seed and bound.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     # tuple() of a list, not of a generator: a generator's tuple starts at 10
     # slots and is resized, which leaves one more block in the interpreter's
     # tuple free list of the final size per call (certify_positive makes 100).
-    return SkewMatrix._trusted(n, tuple([(i, j, p // g, q // g) for i, j, p, q
-                                         in _random_entries(n, seed, bound)
+    entries = _random_entries(n, random.Random(seed).getrandbits, bound)
+    return SkewMatrix._trusted(n, tuple([(i, j, p // g, q // g) for i, j, p, q in entries
                                          for g in [math.gcd(p, q)]]))
 
 

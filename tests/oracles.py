@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from skewchar import MultiPoly, Var
+from skewchar import MultiPoly, Var, lam
 
 
 def cofactor_det(rows):
@@ -29,6 +29,18 @@ def cofactor_det(rows):
         if j % 2:
             term = -term
         total = term if total is None else total + term
+    return total
+
+
+def golden_identity_poly(n: int) -> MultiPoly:
+    """The expanded determinant for the identity form (n <= 4), built term by term."""
+    total = MultiPoly.constant(1)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            total = total + lam(i, j) ** 2
+    if n == 4:
+        total = total + (lam(1, 2) * lam(3, 4) + lam(2, 3) * lam(1, 4)
+                         - lam(1, 3) * lam(2, 4)) ** 2
     return total
 
 

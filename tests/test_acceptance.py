@@ -17,7 +17,7 @@ from generators import (
     random_skew_assignment,
     random_symmetric,
 )
-from oracles import cofactor_det, symbolic_difference
+from oracles import cofactor_det, golden_identity_poly, symbolic_difference
 from skewchar import (
     MultiPoly,
     SkewMatrix,
@@ -28,7 +28,6 @@ from skewchar import (
     det_rational,
     eval_skewchar,
     expand_skewchar,
-    lam,
     pfaffian,
     random_skew,
     witness_indefinite,
@@ -51,17 +50,6 @@ def criterion(number: int, name: str, limit: float | None = None):
     if limit is not None:
         assert elapsed < limit, f"criterion {number} took {elapsed:.1f}s >= {limit}s"
     print(f"criterion {number} ({name}): PASS ({elapsed:.2f}s)")
-
-
-def golden_identity_poly(n: int) -> MultiPoly:
-    total = MultiPoly.constant(1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            total = total + lam(i, j) ** 2
-    if n == 4:
-        total = total + (lam(1, 2) * lam(3, 4) + lam(2, 3) * lam(1, 4)
-                         - lam(1, 3) * lam(2, 4)) ** 2
-    return total
 
 
 def test_criterion_1_golden_expansions():

@@ -566,8 +566,8 @@ def test_sign_probe_determinism_and_validation():
 
 
 def test_sign_probe_refuses_a_negative_seed():
-    # Random(-s) draws the stream of Random(s), so seed -20 would repeat
-    # trials: its trial k would draw what trial 40 - k draws.
+    # Random(-s) draws the stream of Random(s), so seed -5 would repeat
+    # seed 5, every trial of it.
     assert random_skew(4, -3) == random_skew(4, 3)
     a = SymmetricMatrix.identity(2)
     with pytest.raises(ValueError, match="seed must be at least 0"):
@@ -577,13 +577,24 @@ def test_sign_probe_refuses_a_negative_seed():
     assert sign_probe(a, trials=1, seed=0) == ProbeReport(1, 0, 0)
 
 
+def oracle_skews(n: int, trials: int, seed: int, bound: int) -> list[tuple[tuple, ...]]:
+    """The L of each probe trial as full rows: randint calls in turn on one Random(seed)."""
+    rng = random.Random(seed)
+    skews = []
+    for _ in range(trials):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                x = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                rows[i][j], rows[j][i] = x, -x
+        skews.append(tuple(map(tuple, rows)))
+    return skews
+
+
 def oracle_probe(a: SymmetricMatrix, trials: int, seed: int, bound: int) -> ProbeReport:
-    """Tallies of det(A - L) by cofactor expansion over random_skew draws."""
-    signs = []
-    for k in range(1, trials + 1):
-        l = random_skew(a.n, seed + k, bound)
-        rows = [[a.entry(i, j) - l.entry(i, j) for j in range(a.n)] for i in range(a.n)]
-        signs.append(cofactor_det(rows))
+    """Tallies of det(A - L) by cofactor expansion over the oracle_skews draws."""
+    signs = [cofactor_det([[x - y for x, y in zip(row, l_row)] for row, l_row in zip(a.rows, l)])
+             for l in oracle_skews(a.n, trials, seed, bound)]
     return ProbeReport(sum(v > 0 for v in signs), sum(v < 0 for v in signs),
                        sum(v == 0 for v in signs))
 
@@ -591,17 +602,41 @@ def oracle_probe(a: SymmetricMatrix, trials: int, seed: int, bound: int) -> Prob
 def test_sign_probe_tallies_zeros_golden():
     # P(L) = l1_2^2 - 1 with l1_2 in {-1, 0, 1}: zero at +-1, negative at 0.
     a = SymmetricMatrix([[0, 1], [1, 0]])
-    assert sign_probe(a, trials=40, seed=0, bound=1) == ProbeReport(0, 10, 30)
+    assert sign_probe(a, trials=40, seed=0, bound=1) == ProbeReport(0, 14, 26)
     assert sign_probe(a, trials=40, seed=7, bound=1) == ProbeReport(0, 13, 27)
     assert oracle_probe(a, 40, 7, 1) == ProbeReport(0, 13, 27)
 
 
 def test_sign_probe_degenerate_golden():
     a = SymmetricMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
-    assert sign_probe(a, trials=40, seed=3) == ProbeReport(39, 0, 1)
-    assert sign_probe(a, trials=40, seed=3, bound=2) == ProbeReport(31, 0, 9)
+    assert sign_probe(a, trials=40, seed=3) == ProbeReport(40, 0, 0)
+    assert sign_probe(a, trials=40, seed=3, bound=2) == ProbeReport(33, 0, 7)
     b = SymmetricMatrix.diagonal([1, -1, 0])
-    assert sign_probe(b, trials=40, seed=11, bound=2) == ProbeReport(15, 12, 13)
+    assert sign_probe(b, trials=40, seed=11, bound=2) == ProbeReport(14, 18, 8)
+
+
+def test_adjacent_probe_seeds_share_no_trial():
+    # The trials of one call draw in turn from one stream.  When trial k drew
+    # from seed K + k, seeds 0 and 1 shared 39 of their 40 trials.
+    first, second = (set(oracle_skews(4, 40, seed, 10)) for seed in (0, 1))
+    assert len(first) == len(second) == 40
+    assert not first & second
+    a = SymmetricMatrix.diagonal([1, -1, 2, -3])
+    for seed in (0, 1):
+        assert sign_probe(a, trials=40, seed=seed) == oracle_probe(a, 40, seed, 10)
+
+
+def test_probe_trial_one_draws_random_skew():
+    rng = random.Random(5150)
+    for n in range(1, 7):
+        a = random_symmetric(rng, n, 2)
+        for bound in (1, 10, 2**40):
+            seed = rng.randint(0, 10**6)
+            l = random_skew(n, seed, bound)
+            assert oracle_skews(n, 1, seed, bound) == [l.full_rows()]
+            value = eval_skewchar(a, l)
+            assert sign_probe(a, trials=1, seed=seed, bound=bound) == ProbeReport(
+                int(value > 0), int(value < 0), int(value == 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

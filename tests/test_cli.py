@@ -338,7 +338,7 @@ _DENSE_GOLDENS = {
         "probe", [_form_text(12, lambda i, j: ((2 * i + 3 * j) % 7 - 3, (i * j) % 5 + 1))],
         ["--trials", "40", "--bound", "10"],
         "command: probe\nseed: 0\ntrials: 40\nbound: 10\n"
-        "positives: 20\nnegatives: 20\nzeros: 0\n"),
+        "positives: 27\nnegatives: 13\nzeros: 0\n"),
 }
 
 

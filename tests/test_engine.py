@@ -18,7 +18,7 @@ from generators import (
     random_zero_diagonal,
     sparse_skew,
 )
-from oracles import cofactor_det, pfaffian_first_row, symbolic_difference
+from oracles import cofactor_det, golden_identity_poly, pfaffian_first_row, symbolic_difference
 from skewchar import (
     Certificate,
     DimensionMismatch,
@@ -45,18 +45,6 @@ from skewchar.polynomials import _unpack
 from skewchar.selftest import covariance_check
 
 ONE = MultiPoly.constant(1)
-
-
-def golden_identity_poly(n: int) -> MultiPoly:
-    """The expanded determinant for the identity form, built term by term."""
-    total = ONE
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            total = total + lam(i, j) ** 2
-    if n == 4:
-        total = total + (lam(1, 2) * lam(3, 4) + lam(2, 3) * lam(1, 4)
-                         - lam(1, 3) * lam(2, 4)) ** 2
-    return total
 
 
 def poly_at_skew(p: MultiPoly, l: SkewMatrix) -> Fraction:

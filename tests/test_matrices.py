@@ -64,6 +64,70 @@ def test_transition_stores_reduced_columns():
     assert s.rows == ((1, Fraction(1, 2)), (0, Fraction(-2, 3)))
 
 
+def test_skew_constructor_refuses_a_repeated_variable():
+    v = Var(1, 2)
+    for items in ([(v, 5), (v, 0)], [(v, 5), (v, 3)], [(v, 0), (v, 0)]):
+        with pytest.raises(ValueError, match="^duplicate entry for l1_2$"):
+            SkewMatrix(2, items)
+
+
+def test_skew_constructor_refuses_a_non_int_dimension():
+    for n in (2.5, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            SkewMatrix(n, {Var(1, 2): 1})
+
+
+def _seeded_skews() -> list[SkewMatrix]:
+    """Skew matrices at n = 1..8: the empty L, and seeded draws with q past 64 bits."""
+    rng = random.Random(2222)
+    skews = []
+    for n in range(1, 9):
+        skews.append(SkewMatrix.zero(n))
+        for bound in (1, 10, 2**70):
+            skews.append(random_skew(n, rng.randint(0, 10**6), bound))
+    assert any(q > 2**64 for l in skews for *_, q in l.entries)
+    return skews
+
+
+def test_derived_skew_matrices_match_the_constructor():
+    # -l, from_full and entry are built from the stored entries; each must
+    # give what the validating constructor and the entries themselves give.
+    for l in _seeded_skews():
+        neg = -l
+        built = SkewMatrix(l.n, {v: -c for v, c in l.upper.items()})
+        assert neg == built and hash(neg) == hash(built) and neg.entries == built.entries
+        assert -neg == l and hash(-neg) == hash(l)
+        full = [[Fraction(0)] * l.n for _ in range(l.n)]
+        for i, j, p, q in l.entries:
+            full[i][j], full[j][i] = Fraction(p, q), Fraction(-p, q)
+        assert l.full_rows() == tuple(map(tuple, full))
+        assert all(l.entry(i, j) == full[i][j] for i in range(l.n) for j in range(l.n))
+        assert SkewMatrix.from_full(l.full_rows()) == l
+        assert hash(SkewMatrix.from_full(full)) == hash(l)
+
+
+_ROW_ENTRY_POINTS = [SymmetricMatrix, SkewMatrix.from_full, TransitionMatrix, det_rational]
+
+
+@pytest.mark.parametrize("make", _ROW_ENTRY_POINTS)
+def test_entry_points_refuse_a_float(make):
+    with pytest.raises(TypeError, match="expected an int or Fraction, got float"):
+        make([[0, 0.5], [-0.5, 0]])
+
+
+def test_skew_constructor_refuses_a_float():
+    with pytest.raises(TypeError, match="expected an int or Fraction, got float"):
+        SkewMatrix(2, {Var(1, 2): 0.5})
+
+
+# det_rational has its own test of these shapes.
+@pytest.mark.parametrize("make", _ROW_ENTRY_POINTS[:-1])
+@pytest.mark.parametrize("rows", [[], [[1, 2]], [[1, 2], [3]], [[1], [2]], [[0, 1], [-1]]])
+def test_entry_points_refuse_ragged_or_empty_rows(make, rows):
+    with pytest.raises(ValueError, match="^matrix must be square and nonempty$"):
+        make(rows)
+
+
 def test_congruence_sym_examples():
     a = SymmetricMatrix.identity(2)
     s = TransitionMatrix([[1, 1], [0, 1]])
@@ -314,9 +378,8 @@ def test_random_skew_draws_golden():
     assert random_skew(4, 0, 1).to_text() == "4\n1 3 -1\n1 4 1\n3 4 1\n"
 
 
-def randint_entries(n, seed, bound):
-    """The reference draws: Random.randint, p before q, row-major, zero p dropped."""
-    rng = random.Random(seed)
+def randint_entries(n, rng, bound):
+    """The reference draws: rng.randint, p before q, row-major, zero p dropped."""
     draws = [(i, j, rng.randint(-bound, bound), rng.randint(1, bound))
              for i in range(n) for j in range(i + 1, n)]
     return [d for d in draws if d[2]]
@@ -325,10 +388,13 @@ def randint_entries(n, seed, bound):
 @pytest.mark.parametrize("bound", [1, 2, 3, 10, 1000, 2**40])
 def test_random_entries_match_randint(bound):
     # _random_entries draws from getrandbits by randint's own rejection rule;
-    # this keeps the two equal on every interpreter the tests run on.
+    # this keeps the two equal on every interpreter the tests run on.  Three
+    # matrices in turn from one stream match randint calls in turn on one rng.
     for n in (1, 2, 5, 9):
         for seed in range(300):
-            assert _random_entries(n, seed, bound) == randint_entries(n, seed, bound)
+            bits, rng = random.Random(seed).getrandbits, random.Random(seed)
+            for _ in range(3):
+                assert _random_entries(n, bits, bound) == randint_entries(n, rng, bound)
 
 
 def oracle_det_minus_skew(rows, upper):
@@ -432,7 +498,8 @@ def test_kernel_matrix_matches_per_row_lcm_reference():
     for n in range(1, 9):
         rows = random_symmetric(rng, n, 3).rows
         for bound in (1, 10, 2**40):
-            pairs.append((rows, _random_entries(n, rng.randint(0, 10**6), bound)))
+            bits = random.Random(rng.randint(0, 10**6)).getrandbits
+            pairs.append((rows, _random_entries(n, bits, bound)))
     for rows, upper in pairs:
         int_rows = SymmetricMatrix(rows).int_rows
         m, scales = _kernel_matrix(int_rows, upper)
@@ -749,7 +816,8 @@ def test_kernel_form_is_canonical(case):
 
     drawn = random_skew(n, seed, bound)
     built = SkewMatrix(n, {Var(i + 1, j + 1): Fraction(p, q)
-                           for i, j, p, q in _random_entries(n, seed, bound)})
+                           for i, j, p, q
+                           in _random_entries(n, random.Random(seed).getrandbits, bound)})
     assert drawn == built and hash(drawn) == hash(built)
     assert drawn.entries == built.entries and drawn.upper == built.upper
     assert SkewMatrix.from_text(drawn.to_text()) == drawn
