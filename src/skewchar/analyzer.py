@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -48,6 +47,7 @@ from .matrices import (
     _kernel_matrix,
     _random_entries,
     _scaled_matrix,
+    _seeded_bits,
     congruence_sym,
     lagrange_diagonalize,
     signature,
@@ -444,7 +444,7 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     gap = -diag2[m - 1] * diag2[m]
     t_big = math.isqrt(gap.numerator // gap.denominator) + 1
     # A s_k = (c A) x_k / (c q_k) for the column x_k / q_k of S.
-    c, int_a = _scaled_matrix(a)
+    c, int_a = _scaled_matrix(a.int_rows)
     (q_u, x_u), (q_v, x_v) = cols[m - 1], cols[m]
     scale = t_big / (diag2[m - 1] * diag2[m])
     lam_b = _wedge([sum(map(mul, row, x_u)) for row in int_a],
@@ -520,14 +520,12 @@ def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,
     draws into A's stored integer rows, scaling row i by a positive
     integer, so the sign of det(A - L) is the sign of the integer
     determinant: a trial folds and eliminates, and does no division by the
-    scales.  seed must be at least 0: Random(-s) draws the same stream as
-    Random(s), so seed -5 would repeat seed 5.
+    scales.  seed must be an int, at least 0 (_seeded_bits): Random(-s)
+    draws the same stream as Random(s), so seed -5 would repeat seed 5.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be at least 0")
-    bits = random.Random(seed).getrandbits
+    bits = _seeded_bits(seed)
     positives = negatives = zeros = 0
     for _ in range(trials):
         m, _ = _kernel_matrix(a.int_rows, _random_entries(a.n, bits, bound))

@@ -36,7 +36,7 @@ from .engine import (
 from .matrices import MatrixParseError, SkewMatrix, SymmetricMatrix
 
 
-class _InputError(Exception):
+class _InputError(ValueError):
     pass
 
 
@@ -183,9 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ExpansionTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -40,6 +40,7 @@ from .matrices import (
     SkewMatrix,
     SymmetricMatrix,
     _scaled_det,
+    _scaled_matrix,
     lagrange_diagonalize,
     random_skew,
 )
@@ -181,8 +182,7 @@ def _packed_pfaffians(columns: Sequence[tuple[int, Sequence[int]]], diag: Sequen
     product of the d_i outside U, and a subset of zero weight gets no term.
     """
     n = len(columns)
-    scale = lcm(*[q for q, _ in columns])
-    col = [[x * (scale // q) for x in ints] for q, ints in columns]
+    scale, col = _scaled_matrix(columns)
     fields = packed_fields(n)
     # m_int(u, v) is linear: (field bit of l_km, coefficient) per variable.
     linear = {

@@ -257,7 +257,11 @@ class SymmetricMatrix:
         return _scaled_det(self.int_rows, ())
 
     def __neg__(self) -> "SymmetricMatrix":
-        return SymmetricMatrix([[-x for x in row] for row in self.rows])
+        # Each c_i stays the lcm of its row's denominators: canonical as it is.
+        neg = object.__new__(SymmetricMatrix)
+        neg.n, neg._rows, neg._pivots = self.n, None, None
+        neg.int_rows = tuple([(c, tuple([-x for x in ints])) for c, ints in self.int_rows])
+        return neg
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymmetricMatrix) and self.int_rows == other.int_rows
@@ -496,10 +500,10 @@ def congruence_skew(l: SkewMatrix, s: TransitionMatrix) -> SkewMatrix:
     return SkewMatrix.from_full(_matmul(_matmul(st, l.full_rows()), s.rows))
 
 
-def _scaled_matrix(a: SymmetricMatrix) -> tuple[int, list[list[int]]]:
-    """(c, c*A) for c the lcm of the row scales c_i: c*A as int row lists."""
-    c = math.lcm(*[c_i for c_i, _ in a.int_rows])
-    return c, [[x * (c // c_i) for x in ints] for c_i, ints in a.int_rows]
+def _scaled_matrix(rows: Sequence[tuple[int, Sequence[int]]]) -> tuple[int, list[list[int]]]:
+    """(c, c*R) as int row lists for rows (c_i, c_i * r_i), c the lcm of the c_i."""
+    c = math.lcm(*[c_i for c_i, _ in rows])
+    return c, [[x * (c // c_i) for x in ints] for c_i, ints in rows]
 
 
 def _congruence_pivots(a: SymmetricMatrix) -> tuple[tuple[Fraction, ...], tuple[tuple, ...]]:
@@ -525,7 +529,7 @@ def _congruence_pivots(a: SymmetricMatrix) -> tuple[tuple[Fraction, ...], tuple[
     if a._pivots is not None:
         return a._pivots
     n = a.n
-    c, m = _scaled_matrix(a)
+    c, m = _scaled_matrix(a.int_rows)
     diag = [Fraction(0)] * n
     ops: list[tuple] = []
 
@@ -619,6 +623,15 @@ def signature(a: SymmetricMatrix) -> Signature:
     return Signature(pos, neg, a.n - pos - neg)
 
 
+def _seeded_bits(seed: int) -> Callable[[int], int]:
+    """The getrandbits of Random(seed), seed an int at least 0 (Random(-s) repeats Random(s))."""
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
+    return random.Random(seed).getrandbits
+
+
 def _random_entries(n: int, bits: Callable[[int], int],
                     bound: int) -> list[tuple[int, int, int, int]]:
     """The next skew matrix drawn from a stream, as (i, j, p, q), 0-based, zero p dropped.
@@ -629,6 +642,8 @@ def _random_entries(n: int, bits: Callable[[int], int],
     for a span of s values, r = bits(s.bit_length()), drawn again while
     r >= s.  So the values are those of randint, without its per-call checks.
     """
+    if type(bound) is not int:
+        raise TypeError(f"bound must be an int, got {type(bound).__name__}")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     span_p, span_q = 2 * bound + 1, bound
@@ -659,7 +674,7 @@ def random_skew(n: int, seed: int, bound: int = 10) -> SkewMatrix:
     # tuple() of a list, not of a generator: a generator's tuple starts at 10
     # slots and is resized, which leaves one more block in the interpreter's
     # tuple free list of the final size per call (certify_positive makes 100).
-    entries = _random_entries(n, random.Random(seed).getrandbits, bound)
+    entries = _random_entries(n, _seeded_bits(seed), bound)
     return SkewMatrix._trusted(n, tuple([(i, j, p // g, q // g) for i, j, p, q in entries
                                          for g in [math.gcd(p, q)]]))
 

@@ -11,14 +11,16 @@ degree by exponent vector, largest first, the variables taken in the order of
 their index pairs (l1_2, l1_3, ..., l2_3, ...), the first most significant.
 
 Packed monomials (Monagan and Pearce, ISSAC 2009).  In dimension n, one int
-holds a 2-bit exponent field per variable: bit 2f starts the exponent of
-l<k+1>_<m+1>, where (k, m) is the f-th pair of combinations(range(n), 2).
-Adding two packed monomials multiplies them while no exponent passes 3.  As
-field order is variable order, the canonical order is one integer key: the
-total degree, popcount(m) + popcount(m & 0b1010...), above the complement of
-m with its fields reversed.  MultiPoly._from_packed keeps a dict of such
-monomials to int coefficients over one denominator; it prints from it and
-builds its Var terms only when they are read.
+of size = ceil(F / 4) bytes holds a 2-bit exponent field per variable, F in
+all: bit 8*size - 2 - 2f starts the exponent of l<k+1>_<m+1>, (k, m) the f-th
+pair of combinations(range(n), 2), so each byte holds four fields from its
+top down and unused low fields stay zero.  Adding two packed monomials
+multiplies them while no exponent passes 3.  l1_2 fills the top field, so
+within one degree the canonical order is the integer order, and one key
+sorts: the total degree, popcount(m) + popcount(m & 0b1010...), shifted
+above m, minus m.  MultiPoly._from_packed keeps a dict of such monomials to
+int coefficients over one denominator; it prints from it and builds its Var
+terms only when they are read.
 """
 
 from __future__ import annotations
@@ -160,8 +162,9 @@ def _factor(v: Var, e: int) -> str:
 @lru_cache(maxsize=16)
 def packed_fields(n: int) -> tuple:
     """(bit, k, m) per field of a packed monomial in dimension n, 0-based k < m."""
-    return tuple((1 << 2 * f, k, m)
-                 for f, (k, m) in enumerate(itertools.combinations(range(n), 2)))
+    pairs = list(itertools.combinations(range(n), 2))
+    top = 8 * -(-len(pairs) // 4) - 2
+    return tuple((1 << top - 2 * f, k, m) for f, (k, m) in enumerate(pairs))
 
 
 @lru_cache(maxsize=16)
@@ -170,17 +173,12 @@ def _byte_tables(n: int) -> tuple:
     names = [Var(k + 1, m + 1) for _, k, m in packed_fields(n)]
     pairs = [
         tuple(tuple((names[f], e) for f in range(q, min(q + 4, len(names)))
-                    if (e := b >> 2 * (f - q) & 3)) for b in range(256))
+                    if (e := b >> 6 - 2 * (f - q) & 3)) for b in range(256))
         for q in range(0, len(names), 4)
     ]
     texts = [tuple("*".join(_factor(v, e) for v, e in t) for t in table)
              for table in pairs]
     return tuple(pairs), tuple(texts)
-
-
-# Each byte with its four 2-bit fields in reverse order.
-_REVERSED = bytes(sum((b >> 2 * f & 3) << 6 - 2 * f for f in range(4))
-                  for b in range(256))
 
 
 def _unpack(n: int, packed: dict, den: int) -> dict:
@@ -190,7 +188,7 @@ def _unpack(n: int, packed: dict, den: int) -> dict:
     out = {}
     for mono, c in packed.items():
         key = ()
-        for pieces, b in zip(pairs, mono.to_bytes(size, "little")):
+        for pieces, b in zip(pairs, mono.to_bytes(size, "big")):
             key += pieces[b]
         out[key] = Fraction(c, den)
     return out
@@ -201,15 +199,13 @@ def _packed_items(n: int, packed: dict, den: int) -> Iterator[tuple]:
     _, texts = _byte_tables(n)
     size = len(texts)
     width = 8 * size
-    high = int.from_bytes(b"\xaa" * size, "little")  # the high bit of every field
-    low_fields = (1 << width) - 1
+    high = int.from_bytes(b"\xaa" * size, "big")  # the high bit of every field
 
     def order(m: int) -> int:
-        rev = int.from_bytes(m.to_bytes(size, "little").translate(_REVERSED), "big")
-        return ((m.bit_count() + (m & high).bit_count()) << width) | (rev ^ low_fields)
+        return ((m.bit_count() + (m & high).bit_count()) << width) - m
 
     for m in sorted(packed, key=order):
-        factors = [t for t in map(tuple.__getitem__, texts, m.to_bytes(size, "little")) if t]
+        factors = [t for t in map(tuple.__getitem__, texts, m.to_bytes(size, "big")) if t]
         yield "*".join(factors), packed[m], den
 
 

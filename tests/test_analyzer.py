@@ -103,7 +103,7 @@ def test_classify_eliminates_an_indefinite_form_once(monkeypatch, seed):
     monkeypatch.setattr(matrices, "_scaled_matrix", lambda m: calls.append(m) or scale(m))
     report = classify(a)
     assert report.verdict is Verdict.INDEFINITE
-    assert sum(m is a for m in calls) == 1
+    assert sum(m is a.int_rows for m in calls) == 1
     assert report.witness == witness_indefinite(SymmetricMatrix(a.rows))
     assert report.signature == signature(SymmetricMatrix(a.rows))
 
@@ -568,13 +568,25 @@ def test_sign_probe_determinism_and_validation():
 def test_sign_probe_refuses_a_negative_seed():
     # Random(-s) draws the stream of Random(s), so seed -5 would repeat
     # seed 5, every trial of it.
-    assert random_skew(4, -3) == random_skew(4, 3)
+    assert random.Random(-3).getrandbits(64) == random.Random(3).getrandbits(64)
     a = SymmetricMatrix.identity(2)
     with pytest.raises(ValueError, match="seed must be at least 0"):
         sign_probe(a, trials=40, seed=-20)
     with pytest.raises(ValueError, match="seed must be at least 0"):
         sign_probe(a, trials=1, seed=-1)
     assert sign_probe(a, trials=1, seed=0) == ProbeReport(1, 0, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_sign_probe_refuses_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(TypeError, match="seed must be an int"):
+        sign_probe(SymmetricMatrix.identity(2), trials=3, seed=seed)
+
+
+@pytest.mark.parametrize("bound", [2.5, 10.0, True])
+def test_sign_probe_refuses_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(TypeError, match="bound must be an int"):
+        sign_probe(SymmetricMatrix.identity(2), trials=3, bound=bound)
 
 
 def oracle_skews(n: int, trials: int, seed: int, bound: int) -> list[tuple[tuple, ...]]:

@@ -38,6 +38,21 @@ from skewchar.matrices import (_congruence_pivots, _kernel_matrix, _random_entri
                                _scaled_det)
 
 
+def test_negation_reads_int_rows():
+    # -a negates each stored int and keeps each c_i: no Fraction view and no
+    # validating constructor, yet equal to the matrix the constructor builds.
+    rng = random.Random(2323)
+    for n in range(1, 31):
+        a = random_symmetric(rng, n)
+        neg = -a
+        assert neg._rows is None
+        built = SymmetricMatrix([[-x for x in row] for row in a.rows])
+        assert neg == built and hash(neg) == hash(built)
+        assert neg.int_rows == built.int_rows
+        assert -neg == a
+        assert neg.rows == built.rows
+
+
 def test_symmetric_constructor_rejects_asymmetry():
     with pytest.raises(ValueError):
         SymmetricMatrix([[1, 2], [3, 4]])
@@ -368,6 +383,18 @@ def test_random_skew_bound_validation():
         random_skew(3, 0, 0)
     with pytest.raises(ValueError, match="bound must be at least 1"):
         random_skew(3, 1, 0)
+
+
+def test_random_skew_refuses_a_negative_seed():
+    # Random(-5) draws the stream of Random(5).
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        random_skew(3, -5)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "5"])
+def test_random_skew_refuses_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(TypeError, match="seed must be an int"):
+        random_skew(2, seed)
 
 
 def test_random_skew_draws_golden():

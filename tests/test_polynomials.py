@@ -16,6 +16,7 @@ from skewchar import (
     Var,
     lam,
 )
+from skewchar.polynomials import packed_fields
 
 ONE = MultiPoly.constant(1)
 ZERO = MultiPoly.zero()
@@ -309,37 +310,57 @@ def test_coefficients_stay_canonical_after_long_chains(seed):
 # -- packed polynomials ----------------------------------------------------------
 
 
+def packed_mono(n: int, *factors: tuple[int, int, int]) -> int:
+    """The packed monomial of the factors l<i>_<j>^e, each given as (i, j, e)."""
+    bits = {(k + 1, m + 1): bit for bit, k, m in packed_fields(n)}
+    return sum(e * bits[i, j] for i, j, e in factors)
+
+
 def var_built(n: int, packed: dict, den: int) -> MultiPoly:
     """The same polynomial as MultiPoly._from_packed, decoded field by field."""
-    names = [Var(k + 1, m + 1) for k, m in itertools.combinations(range(n), 2)]
     return MultiPoly({
-        tuple((v, e) for f, v in enumerate(names) if (e := mono >> 2 * f & 3)):
-            Fraction(c, den)
+        tuple((Var(k + 1, m + 1), e) for bit, k, m in packed_fields(n)
+              if (e := mono // bit & 3)): Fraction(c, den)
         for mono, c in packed.items()
     })
 
 
 def random_packed(rng: random.Random, n: int) -> dict:
     """Up to 40 monomials with exponents 0..3, mixed signs and some zero coefficients."""
-    fields = n * (n - 1) // 2
+    fields = packed_fields(n)
     packed = {}
     for _ in range(rng.randint(0, 40)):
         mono = 0
-        for f in rng.sample(range(fields), min(fields, rng.randint(0, 4))):
-            mono |= rng.choice((1, 1, 2, 3)) << 2 * f
+        for f in rng.sample(range(len(fields)), min(len(fields), rng.randint(0, 4))):
+            mono |= rng.choice((1, 1, 2, 3)) * fields[f][0]
         packed[mono] = rng.choice((0, 1, -1, rng.randint(-10**20, 10**20)))
     return packed
 
 
 PACKED_CASES = [
     (1, {}, 1),  # zero polynomial
-    (3, {0b01: 0, 0b0100: 0}, 5),  # only zero coefficients
+    # only zero coefficients
+    (3, {packed_mono(3, (1, 2, 1)): 0, packed_mono(3, (1, 3, 1)): 0}, 5),
     (1, {0: 5}, 3),  # lone constant
     (4, {0: -6}, 4),
-    (3, {0: -3, 0b01: 2, 0b10_00_00: -4}, 6),  # negative first term, exponent 2
-    (4, {0b01_00_00_00_01: 1, 0b10: -1, 0: 0}, 1),
-    (8, {1 << 54: 1, 1: -1, (1 << 55) | 1: 10**30}, 7),  # last and first field
+    # negative first term, exponent 2
+    (3, {0: -3, packed_mono(3, (1, 2, 1)): 2, packed_mono(3, (2, 3, 2)): -4}, 6),
+    (4, {packed_mono(4, (1, 2, 1), (2, 4, 1)): 1, packed_mono(4, (1, 2, 2)): -1, 0: 0}, 1),
+    # last and first field
+    (8, {packed_mono(8, (7, 8, 1)): 1, packed_mono(8, (1, 2, 1)): -1,
+         packed_mono(8, (1, 2, 1), (7, 8, 2)): 10**30}, 7),
 ]
+
+
+def test_packed_fields_decrease_from_the_top_field():
+    # l1_2 fills the top two bits of the top byte, each later variable the
+    # next two bits down, so the canonical order within a degree is int order.
+    for n in range(2, 13):
+        fields = packed_fields(n)
+        bits = [bit for bit, _, _ in fields]
+        assert [(k, m) for _, k, m in fields] == list(itertools.combinations(range(n), 2))
+        assert bits[0].bit_length() == 8 * -(-len(bits) // 4) - 1
+        assert all(a == 4 * b for a, b in zip(bits, bits[1:]))
 
 
 def all_packed_cases():
@@ -378,7 +399,8 @@ def test_packed_polynomials_print_and_behave_like_var_built_ones():
 
 
 def test_packed_length_and_text_leave_var_terms_unbuilt():
-    p = MultiPoly._from_packed(3, {0: 1, 0b01: 0, 0b0100: 2}, 3)
+    p = MultiPoly._from_packed(
+        3, {0: 1, packed_mono(3, (1, 2, 1)): 0, packed_mono(3, (1, 3, 1)): 2}, 3)
     assert (len(p), str(p), p.is_zero) == (2, "1/3 + 2/3*l1_3", False)
     with pytest.raises(AttributeError):
         object.__getattribute__(p, "_terms")
