@@ -347,7 +347,8 @@ def _anisotropic_prime(diag: Sequence[Fraction]) -> Optional[int]:
             return None
         primes |= factors
     if len(ints) == 2:
-        primes.update(p for p in _small_primes() if p < max(primes))
+        top = max(primes)
+        primes.update(itertools.takewhile(lambda p: p < top, _small_primes()))
     return next((p for p in sorted(primes) if not _locally_isotropic(ints, p)), None)
 
 
@@ -520,9 +521,13 @@ def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,
     draws into A's stored integer rows, scaling row i by a positive
     integer, so the sign of det(A - L) is the sign of the integer
     determinant: a trial folds and eliminates, and does no division by the
-    scales.  seed must be an int, at least 0 (_seeded_bits): Random(-s)
-    draws the same stream as Random(s), so seed -5 would repeat seed 5.
+    scales.  trials must be an int, at least 1, and so must bound; a bool
+    is refused, as True would run one trial.  seed must be an int, at least
+    0 (_seeded_bits): Random(-s) draws the same stream as Random(s), so
+    seed -5 would repeat seed 5.
     """
+    if type(trials) is not int:
+        raise TypeError(f"trials must be an int, got {type(trials).__name__}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     bits = _seeded_bits(seed)

@@ -9,14 +9,14 @@ SkewMatrix.entries holds each nonzero l_ij = p/q, i < j, as (i, j, p, q),
 0-based, p/q reduced, sorted.  Both are canonical, so == and hash read them;
 the Fraction views rows and upper are built on first use.  A constructor
 converts each value once; -L and SkewMatrix.from_full build entries
-directly and skip the validating constructor.  The kernel has two steps.
+directly and skip the validating constructor.  The kernel has two stages.
 _kernel_matrix folds L into the stored rows: one pass over L collects each
 row's denominators, row i is scaled to c = lcm(c_i, q of each entry in
 row i), and each entry of L is subtracted or added into its two slots.
-_int_bareiss_det then runs two-step fraction-free (Bareiss) elimination:
-each pass eliminates two columns through 3 x 3 minors, which Sylvester's
-identity makes exact multiples of the square of the previous pivot, so
-every entry costs one exact division per two columns.  _scaled_det divides
+_int_bareiss_det then runs three-step fraction-free (Bareiss) elimination:
+each pass eliminates three columns through 4 x 4 minors, which Sylvester's
+identity makes exact multiples of the cube of the previous pivot, so
+every entry costs one exact division per three columns.  _scaled_det divides
 by the product of the scales; sign_probe reads the sign of the integer, as
 every scale is positive.
 
@@ -76,40 +76,51 @@ def _matmul(a, b):
 
 
 def _int_bareiss_det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by two-step Bareiss elimination.
+    """Determinant of a square integer matrix by three-step Bareiss elimination.
 
     Destructive: m is eliminated in place, its rows swapped and overwritten.
-    After p passes, rows and columns 2p on of m form the trailing block b.
+    After p passes, rows and columns 3p on of m form the trailing block b.
     It holds the minors of the row-permuted input that border its leading
-    2p x 2p minor d (d = 1 before the first pass) with one more row and
-    column; entries left of b are stale.  By Sylvester's identity (Bareiss, "Sylvester's identity
-    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-    1968) an s x s minor of b is d^(s-1) times a minor of the input.  A pass
-    takes rows and columns k and l = k + 1 of b as pivots.  Its 2 x 2 minors
-    D = b_kk b_ll - b_kl b_lk, U_j = b_kl b_lj - b_kj b_ll and
-    V_j = b_kk b_lj - b_kj b_lk are thus multiples of d, each divided by d
-    once, per pass or per column.  The 3 x 3 minor over rows k, l, i and
-    columns k, l, j, expanded along row i, is b_ij D + b_ik U_j - b_il V_j,
-    and it is d^2 times the next entry, so d^2 divides each such numerator:
+    3p x 3p minor d (d = 1 before the first pass) with one more row and
+    column; entries left of b are stale.  By Sylvester's identity (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22, 1968) an s x s minor of b is d^(s-1)
+    times a minor of the input.  A pass takes rows and columns k, l = k + 1
+    and h = k + 2 of b as its pivot block P.  det P is d^2 times the next
+    pass's d, D = det P / d^2.  For a later column j, the entries of
+    adj(P) b[k:k+3, j] are, by Cramer's rule, the 3 x 3 minors of P with
+    one column replaced by column j, so
 
-        b'_ij = (b_ij * D/d + b_ik * U_j/d - b_il * V_j/d) // d,
+        w_j = adj(P) b[k:k+3, j] // d^2
 
-    one exact division where two one-step passes make two.  D/d is the next
-    pass's d.
+    is exact, one division per entry of w_j.  The 4 x 4 minor over rows k,
+    l, h, i and columns k, l, h, j is b_ij det P - b[i, k:k+3] adj(P)
+    b[k:k+3, j], and it is d^3 times the next entry, so d divides each such
+    numerator:
+
+        b'_ij = (b_ij * D - b_ik w_0j - b_il w_1j - b_ih w_2j) // d,
+
+    four multiplications and one exact division per entry per three
+    columns, where two-step passes make 4.5 and 1.5.
 
     A zero b_kk swaps in the first later row with a nonzero entry in column
-    k; without one the determinant is 0.  A zero D swaps in the first later
-    row r with a nonzero b_kk b_rl - b_kl b_rk (d times its one-step entry
-    in column l); without one, column l is zero after one step, and so is
-    the determinant.  With two rows left the determinant is D/d; with one,
-    that row's entry.
+    k; without one the determinant is 0.  A zero leading 2 x 2 minor of P
+    swaps in the first row r after l with a nonzero b_kk b_rl - b_kl b_rk
+    (d times its one-step entry in column l); without one, column l is zero
+    after one step, and so is the determinant.  A zero det P swaps in the
+    first row r after h that makes it nonzero (d^2 times the two-step entry
+    of row r in column h); without one, column h is zero after two steps,
+    and so is the determinant.  A pass with no row after P returns D; else
+    the passes leave one row, whose entry is the determinant, or two, whose
+    2 x 2 minor over d is.
     """
     n = len(m)
     sign = 1
     d = 1
-    u = [0] * n
-    v = [0] * n
-    for k in range(0, n - 1, 2):
+    w0 = [0] * n
+    w1 = [0] * n
+    w2 = [0] * n
+    for k in range(0, n - 2, 3):
         if m[k][k] == 0:
             for r in range(k + 1, n):
                 if m[r][k]:
@@ -118,36 +129,61 @@ def _int_bareiss_det(m: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        l = k + 1
+        l, h = k + 1, k + 2
         row_k, row_l = m[k], m[l]
-        b_kk, b_kl = row_k[k], row_k[l]
-        delta = b_kk * row_l[l] - b_kl * row_l[k]
-        if delta == 0:
-            for r in range(k + 2, n):
-                delta = b_kk * m[r][l] - b_kl * m[r][k]
-                if delta:
+        p_kk, p_kl = row_k[k], row_k[l]
+        if p_kk * row_l[l] - p_kl * row_l[k] == 0:
+            for r in range(h, n):
+                if p_kk * m[r][l] - p_kl * m[r][k]:
                     m[l], m[r] = m[r], m[l]
                     sign = -sign
                     row_l = m[l]
                     break
             else:
                 return 0
-        if l == n - 1:
-            return sign * (delta // d)
-        b_lk, b_ll = row_l[k], row_l[l]
-        rest = range(k + 2, n)
+        p_kh, p_lk, p_ll, p_lh = row_k[h], row_l[k], row_l[l], row_l[h]
+        # The cofactors of row h of P, which rows k and l alone fix.
+        c_k = p_kl * p_lh - p_kh * p_ll
+        c_l = p_kh * p_lk - p_kk * p_lh
+        c_h = p_kk * p_ll - p_kl * p_lk
+        row_h = m[h]
+        det = row_h[k] * c_k + row_h[l] * c_l + row_h[h] * c_h
+        if det == 0:
+            for r in range(h + 1, n):
+                row = m[r]
+                det = row[k] * c_k + row[l] * c_l + row[h] * c_h
+                if det:
+                    m[h], m[r] = row, row_h
+                    sign = -sign
+                    row_h = row
+                    break
+            else:
+                return 0
+        dd = d * d
+        if h == n - 1:
+            return sign * (det // dd)
+        p_hk, p_hl, p_hh = row_h[k], row_h[l], row_h[h]
+        # adj(P), row by row; its last column is (c_k, c_l, c_h).
+        a00, a01 = p_ll * p_hh - p_lh * p_hl, p_kh * p_hl - p_kl * p_hh
+        a10, a11 = p_lh * p_hk - p_lk * p_hh, p_kk * p_hh - p_kh * p_hk
+        a20, a21 = p_lk * p_hl - p_ll * p_hk, p_kl * p_hk - p_kk * p_hl
+        rest = range(h + 1, n)
         for j in rest:
-            x, y = row_k[j], row_l[j]
-            u[j] = (b_kl * y - x * b_ll) // d
-            v[j] = (b_kk * y - x * b_lk) // d
-        delta //= d
+            x, y, z = row_k[j], row_l[j], row_h[j]
+            w0[j] = (a00 * x + a01 * y + c_k * z) // dd
+            w1[j] = (a10 * x + a11 * y + c_l * z) // dd
+            w2[j] = (a20 * x + a21 * y + c_h * z) // dd
+        det //= dd
         for i in rest:
             row = m[i]
-            s, t = row[k], row[l]
+            s, t, u = row[k], row[l], row[h]
             for j in rest:
-                row[j] = (row[j] * delta + s * u[j] - t * v[j]) // d
-        d = delta
-    return sign * m[n - 1][n - 1]
+                row[j] = (row[j] * det - s * w0[j] - t * w1[j] - u * w2[j]) // d
+        d = det
+    if n % 3 == 1:
+        return sign * m[n - 1][n - 1]
+    row_k, row_l = m[n - 2], m[n - 1]
+    return sign * ((row_k[n - 2] * row_l[n - 1] - row_k[n - 1] * row_l[n - 2]) // d)
 
 
 def _kernel_row(pairs: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
@@ -669,6 +705,8 @@ def random_skew(n: int, seed: int, bound: int = 10) -> SkewMatrix:
     values Random(seed).randint gives, reduced to the canonical entries: the
     L of trial 1 of sign_probe with the same seed and bound.
     """
+    if type(n) is not int:
+        raise TypeError(f"dimension must be an int, got {type(n).__name__}")
     if n < 1:
         raise ValueError("dimension must be at least 1")
     # tuple() of a list, not of a generator: a generator's tuple starts at 10

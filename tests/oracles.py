@@ -2,7 +2,7 @@
 
 Nothing here shares code with the implementation under test: the symbolic
 matrix A - L is assembled entry by entry from MultiPoly and Var, determinants
-go through naive cofactor expansion instead of the Pfaffian expansion,
+go through cofactor expansion instead of the Pfaffian expansion,
 Pfaffians through first-row expansion instead of skew elimination or the
 packed subset kernel, signatures come from characteristic polynomial
 coefficients via the Faddeev-LeVerrier recurrence and Descartes' rule (exact
@@ -12,24 +12,33 @@ diagonalization is reproduced by plain Fraction elimination.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from skewchar import MultiPoly, Var, lam
 
 
 def cofactor_det(rows):
-    """Determinant by first-row cofactor expansion; generic over + - *."""
+    """Determinant by first-row cofactor expansion; generic over + - *.
+
+    Each minor is expanded once, keyed by its first row and the columns it
+    keeps: n 2^n products in place of n!, so n = 12 is within reach.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = rows[0][j] * cofactor_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+
+    @functools.cache
+    def minor(i, columns):
+        if i == n - 1:
+            return rows[i][columns[0]]
+        total = None
+        for t, j in enumerate(columns):
+            term = rows[i][j] * minor(i + 1, columns[:t] + columns[t + 1:])
+            if t % 2:
+                term = -term
+            total = term if total is None else total + term
+        return total
+
+    return minor(0, tuple(range(n)))
 
 
 def golden_identity_poly(n: int) -> MultiPoly:

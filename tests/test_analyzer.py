@@ -40,7 +40,7 @@ from skewchar import (
     witness_indefinite,
 )
 from skewchar import matrices
-from skewchar.analyzer import _anisotropic_prime, _pair_isotropic
+from skewchar.analyzer import _anisotropic_prime, _locally_isotropic, _pair_isotropic
 from skewchar.selftest import crosscheck_classification
 
 
@@ -496,6 +496,26 @@ def test_hard_form_scrambled():
         "5\n")
 
 
+def _primes_up_to(k):
+    return [p for p in range(2, k + 1) if all(p % q for q in range(2, p))]
+
+
+def test_binary_anisotropic_prime_matches_a_test_of_every_smaller_prime():
+    # The reference tests 2 and every prime up to the largest prime factor
+    # of a * b, in increasing order; a binary form can be anisotropic at a
+    # prime that divides neither coefficient, as <1, -17> is at 3.
+    odd = 0
+    for a in range(1, 61):
+        for b in range(1, 61):
+            top = max([2] + [p for p in _primes_up_to(max(a, b)) if (a * b) % p == 0])
+            expected = next((p for p in _primes_up_to(top)
+                             if not _locally_isotropic([a, -b], p)), None)
+            assert _anisotropic_prime([Fraction(a), Fraction(-b)]) == expected, (a, b)
+            odd += expected is not None and expected % 2 == 1
+    assert _anisotropic_prime([Fraction(1), Fraction(-17)]) == 3
+    assert odd > 0
+
+
 def test_locally_isotropic_n4_form_still_exhausts_the_search():
     # A known gap, recorded as it is: this form is isotropic at every prime,
     # so by Hasse-Minkowski it has a rational zero, yet the search finds none
@@ -587,6 +607,13 @@ def test_sign_probe_refuses_a_seed_that_is_not_an_int(seed):
 def test_sign_probe_refuses_a_bound_that_is_not_an_int(bound):
     with pytest.raises(TypeError, match="bound must be an int"):
         sign_probe(SymmetricMatrix.identity(2), trials=3, bound=bound)
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, 3.0, "3"])
+def test_sign_probe_refuses_a_trial_count_that_is_not_an_int(trials):
+    # trials=True ran one trial, and 2.5 failed inside range().
+    with pytest.raises(TypeError, match="trials must be an int"):
+        sign_probe(SymmetricMatrix.identity(2), trials=trials)
 
 
 def oracle_skews(n: int, trials: int, seed: int, bound: int) -> list[tuple[tuple, ...]]:

@@ -5,7 +5,9 @@ relative) and is reduced to the sha256 of its exit code, stdout and stderr.
 The corpus: expand and certify at n = 1...5 with non-positive and --max-dim
 refusals; eval at n = 1...8 and 24; classify and witness on planted,
 zero-diagonal, anisotropic (n = 2, 3, 4), degenerate and definite forms and a
-scrambled hard n = 5 form; probe at bounds 1, 10 and 1000; malformed files.
+scrambled hard n = 5 form; probe at bounds 1, 10 and 1000; malformed files;
+then, from a stream of their own, eval at n = 9...16 and 25...30 and probe
+at n = 8...16, so every ending of the determinant kernel is pinned.
 The digests in cli_corpus.json pin every output byte, so a change meant to
 keep the output keeps this test passing unchanged.  After a change meant to
 alter the output, regenerate them from the tests directory:
@@ -130,6 +132,21 @@ def _calls():
         files = {"a.txt": "3\n1 0 0\n0 1 0\n0 0 1\n", "bad.txt": text}
         yield f"eval malformed skew #{k}", ["eval", "a.txt", "bad.txt"], files
     yield "expand missing file", ["expand", "missing.txt"], {}
+
+    # The determinant kernel ends on n mod 3 after n // 3 passes: these sizes
+    # reach every ending after several passes.  A stream of their own keeps
+    # the inputs of the calls above as they were.
+    rng = random.Random(2424)
+    for n in [*range(9, 17), *range(25, 31)]:
+        for k in range(2):
+            skew = (sparse_skew if k % 2 else random_skew_assignment)(rng, n)
+            files = {"a.txt": random_symmetric(rng, n).to_text(), "l.txt": skew.to_text()}
+            yield f"eval n={n} #{k}", ["eval", "a.txt", "l.txt"], files
+    for n in range(8, 17):
+        text = random_symmetric(rng, n).to_text()
+        for bound in (1, 10, 1000):
+            argv = ["probe", "a.txt", "--trials", "12", "--seed", str(n), "--bound", str(bound)]
+            yield f"probe n={n} bound={bound} #1", argv, {"a.txt": text}
 
 
 def _digest(code: int, out: str, err: str) -> str:

@@ -385,6 +385,13 @@ def test_random_skew_bound_validation():
         random_skew(3, 1, 0)
 
 
+@pytest.mark.parametrize("n", [True, 3.0, "3"])
+def test_random_skew_refuses_a_dimension_that_is_not_an_int(n):
+    # random_skew(True, 3) printed the dimension line "True".
+    with pytest.raises(TypeError, match="dimension must be an int"):
+        random_skew(n, 3)
+
+
 def test_random_skew_refuses_a_negative_seed():
     # Random(-5) draws the stream of Random(5).
     with pytest.raises(ValueError, match="seed must be at least 0"):
@@ -458,7 +465,7 @@ _SPLIT_KERNEL_CASES = {
     "q_past_64_bits": ([[2, _H, 0], [_H, 1, 1], [0, 1, Fraction(1, 3)]],
                        [(0, 1, 3, 2**64 + 1), (1, 2, -1, 2)]),
     "singular": ([[1, 2], [2, 4]], []),
-    # The two-step kernel's branches.  R - L has the singular leading block
+    # The kernel's pivoting branches.  R - L has the singular leading block
     # [[1/2, 0], [1, 0]]; row 2 has a nonzero one-step entry in column 1 and
     # is swapped in.
     "singular_block_repaired": ([[_H, _H, 0], [_H, 0, 1], [0, 1, 2]], [(0, 1, 1, 2)]),
@@ -466,11 +473,56 @@ _SPLIT_KERNEL_CASES = {
     # leading block [[1, 2], [1, 2]]: the determinant is 0.
     "singular_block_unrepaired": ([[1, Fraction(3, 2), 1], [Fraction(3, 2), 2, 1], [1, 1, 3]],
                                   [(0, 1, -1, 2), (1, 2, 1, 1)]),
-    # After the first pass the trailing block [[0, 2/3], [4/3, 0]] has a zero
-    # leading entry: the second pass swaps its rows.
+    # R - L is I_2 beside [[0, 2/3], [4/3, 0]]: the pivot block of rows and
+    # columns 0 to 2 is singular, and row 3 is swapped in.
     "zero_pivot_second_pass": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                                [(2, 3, 1, 3)]),
 }
+
+
+def _split(m):
+    """(R, L) with R - L = m for a square int matrix m, L as (i, j, p, q) entries.
+
+    R is the symmetric part of m and l_ij = (m_ji - m_ij) / 2.  The kernel
+    reads m with some rows doubled, which leaves every minor's sign, so m's
+    own zero minors fix the pivoting branches it takes.
+    """
+    n = len(m)
+    rows = [[Fraction(m[i][j] + m[j][i], 2) for j in range(n)] for i in range(n)]
+    return rows, [(i, j, m[j][i] - m[i][j], 2)
+                  for i in range(n) for j in range(i + 1, n) if m[j][i] != m[i][j]]
+
+
+# Pivoting in the second pass, whose pivot block is rows and columns 3 to 5.
+# Each leading minor of m up to 3 x 3 is nonzero, so the first pass swaps
+# nothing, and the comment names the first leading minor that vanishes.
+_SPLIT_KERNEL_CASES.update({
+    # 4 x 4: row 3 is row 0 plus row 1 in columns 0 to 3, so b_33 = 0, and
+    # row 4 is swapped in.
+    "zero_pivot_later_pass": _split([
+        [2, 1, 0, 1, 0, 1, 0], [1, 3, 1, 0, 1, 0, 0], [0, 1, 2, 1, 0, 0, 1],
+        [3, 4, 1, 1, 2, 0, 1], [1, 0, 1, 2, 3, 1, 0], [0, 1, 0, 1, 1, 2, 1],
+        [1, 0, 0, 0, 1, 1, 3]]),
+    # 5 x 5: row 4 is row 0 plus row 2 in columns 0 to 4, so the leading
+    # 2 x 2 minor of the pivot block is 0, and row 5 repairs it; the pivot
+    # block then needs a swap of its own.
+    "singular_block_later_pass": _split([
+        [2, 1, 0, 1, 0, 1, 0, 1], [1, 3, 1, 0, 1, 0, 0, 0], [0, 1, 2, 1, 0, 0, 1, 0],
+        [1, 0, 1, 3, 1, 0, 0, 1], [2, 2, 2, 2, 0, 1, 1, 0], [1, 0, 1, 2, 3, 1, 0, 2],
+        [0, 1, 0, 1, 1, 2, 1, 0], [1, 0, 0, 0, 1, 1, 3, 1]]),
+    # 6 x 6: row 5 is row 1 plus row 3 in columns 0 to 5, so the pivot block
+    # is singular, and row 6, the last, repairs it.
+    "singular_pivot_block_repaired": _split([
+        [2, 1, 0, 1, 0, 1, 0], [1, 3, 1, 0, 1, 0, 0], [0, 1, 2, 1, 0, 0, 1],
+        [1, 0, 1, 3, 1, 0, 0], [1, 0, 1, 2, 3, 1, 0], [2, 3, 2, 3, 2, 0, 1],
+        [1, 0, 0, 0, 1, 1, 3]]),
+    # 6 x 6: column 5 is column 0 plus column 3, so no row repairs the
+    # singular pivot block and the determinant is 0.
+    "singular_pivot_block_unrepaired": _split([
+        [2, 1, 0, 1, 0, 3, 0, 1], [1, 3, 1, 0, 1, 1, 0, 0], [0, 1, 2, 1, 0, 1, 1, 0],
+        [1, 0, 1, 3, 1, 4, 0, 1], [1, 0, 1, 2, 3, 3, 1, 0], [0, 1, 0, 1, 1, 1, 2, 1],
+        [1, 0, 0, 0, 1, 1, 1, 3], [2, 1, 1, 0, 0, 2, 1, 1]]),
+})
 
 
 def _sized_case(n):
@@ -485,9 +537,11 @@ def _sized_case(n):
     return rows, upper
 
 
-# Odd n ends on a two-step pass that leaves one entry, even n on the single
-# step of two rows; n = 1 and 2 take no two-step pass at all.
-_SPLIT_KERNEL_CASES.update({f"n{n}": _sized_case(n) for n in range(1, 8)})
+# After n // 3 passes, n = 3p ends on the det P / d^2 of its last pass,
+# n = 3p + 1 on the one entry left and n = 3p + 2 on the 2 x 2 minor left
+# over d; n = 1 and 2 take no pass at all, n = 10, 11 and 12 take three
+# passes before their ending.
+_SPLIT_KERNEL_CASES.update({f"n{n}": _sized_case(n) for n in range(1, 13)})
 
 
 @pytest.mark.parametrize("case", sorted(_SPLIT_KERNEL_CASES))
