@@ -52,6 +52,7 @@ from .matrices import (
     lagrange_diagonalize,
     signature,
 )
+from .polynomials import _int_at_least
 
 
 class NotIndefinite(ValueError):
@@ -336,19 +337,22 @@ def _anisotropic_prime(diag: Sequence[Fraction]) -> Optional[int]:
     undecided: a d_i keeps a cofactor above _FACTOR_BOUND**2 after trial
     division.  Each d_i is scaled to the int numerator * denominator, which
     keeps its square class.  At rank 3 and 4 the form is isotropic at every
-    odd p that divides no d_i, so only 2 and the prime factors need a test;
-    at rank 2 every smaller prime is tested as well.
+    odd p that divides no d_i, so only 2 and the prime factors need a test.
+    At rank 2 -d_1 d_2 is not a rational square (the pair test), so some
+    prime shows it: the small primes are scanned first, the factors only
+    if none does.
     """
     ints = [x.numerator * x.denominator for x in diag]
+    if len(ints) == 2:
+        for p in _small_primes():
+            if not _locally_isotropic(ints, p):
+                return p
     primes = {2}
     for k in ints:
         factors = _prime_factors(abs(k))
         if factors is None:
             return None
         primes |= factors
-    if len(ints) == 2:
-        top = max(primes)
-        primes.update(itertools.takewhile(lambda p: p < top, _small_primes()))
     return next((p for p in sorted(primes) if not _locally_isotropic(ints, p)), None)
 
 
@@ -521,15 +525,11 @@ def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,
     draws into A's stored integer rows, scaling row i by a positive
     integer, so the sign of det(A - L) is the sign of the integer
     determinant: a trial folds and eliminates, and does no division by the
-    scales.  trials must be an int, at least 1, and so must bound; a bool
-    is refused, as True would run one trial.  seed must be an int, at least
-    0 (_seeded_bits): Random(-s) draws the same stream as Random(s), so
-    seed -5 would repeat seed 5.
+    scales.  trials, seed and bound follow the integer-argument rule
+    (_int_at_least): trials and bound at least 1, seed at least 0
+    (_seeded_bits says why).
     """
-    if type(trials) is not int:
-        raise TypeError(f"trials must be an int, got {type(trials).__name__}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _int_at_least("trials", trials, 1)
     bits = _seeded_bits(seed)
     positives = negatives = zeros = 0
     for _ in range(trials):

@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand det(A - L) symbolically")
     p.add_argument("matrix", help="symmetric matrix file")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                   help="dimension cap for symbolic expansion "
+                   help="dimension cap for symbolic expansion, at least 1 "
                         f"(default {DEFAULT_MAX_DIM})")
     p.set_defaults(func=_cmd_expand)
 
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="sum-of-squares certificate for a positive form")
     p.add_argument("matrix", help="symmetric matrix file")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                   help="dimension cap for certificate construction "
+                   help="dimension cap for certificate construction, at least 1 "
                         f"(default {DEFAULT_MAX_DIM})")
     p.set_defaults(func=_cmd_certify)
 

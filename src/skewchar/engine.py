@@ -44,7 +44,7 @@ from .matrices import (
     lagrange_diagonalize,
     random_skew,
 )
-from .polynomials import MultiPoly, Var, _unpack, packed_fields
+from .polynomials import MultiPoly, Var, _int_at_least, _unpack, packed_fields
 
 DEFAULT_MAX_DIM = 7
 
@@ -112,6 +112,7 @@ def sub_pfaffian_poly(n: int, subset: Sequence[int]) -> MultiPoly:
     the result has (|U| - 1)!! terms.  Built by the packed kernel at S = I
     with weights 0, l_ab renamed l_{subset[a], subset[b]}.
     """
+    _int_at_least("dimension", n, 0)
     subset = tuple(subset)
     if len(subset) % 2:
         raise OddSubset(f"subset {subset} has odd cardinality")
@@ -244,7 +245,7 @@ def expand_skewchar(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Multi
 
     Computed by the Pfaffian sum of the module docstring.
     """
-    if a.n > max_dim:
+    if a.n > _int_at_least("max_dim", max_dim, 1):
         raise ExpansionTooLarge(
             f"dimension {a.n} exceeds the expansion cap {max_dim}")
     s, d = lagrange_diagonalize(a)
@@ -260,7 +261,7 @@ def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Cert
     (sampled), not proof.
     """
     n = a.n
-    if n > max_dim:
+    if n > _int_at_least("max_dim", max_dim, 1):
         raise ExpansionTooLarge(f"dimension {n} exceeds the certificate cap {max_dim}")
     s, d = lagrange_diagonalize(a)
     if any(x <= 0 for x in d):

@@ -44,8 +44,8 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .polynomials import (Scalar, Var, _as_fraction, _check_ascii, _parse_digits,
-                          _parse_rational, _shown)
+from .polynomials import (Scalar, Var, _as_fraction, _check_ascii, _int_at_least,
+                          _parse_digits, _parse_rational, _shown)
 
 _ZERO = Fraction(0)
 
@@ -275,11 +275,11 @@ class SymmetricMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SymmetricMatrix":
-        return cls.diagonal([1] * n)
+        return cls.diagonal([1] * _int_at_least("dimension", n, 1))
 
     @classmethod
     def zero(cls, n: int) -> "SymmetricMatrix":
-        return cls.diagonal([0] * n)
+        return cls.diagonal([0] * _int_at_least("dimension", n, 1))
 
     @classmethod
     def diagonal(cls, values: Sequence[Scalar]) -> "SymmetricMatrix":
@@ -345,10 +345,7 @@ class SkewMatrix:
     __slots__ = ("n", "entries", "_upper")
 
     def __init__(self, n: int, upper: dict | Iterable = ()) -> None:
-        if type(n) is not int:
-            raise TypeError(f"dimension must be an int, got {type(n).__name__}")
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
+        _int_at_least("dimension", n, 1)
         items = upper.items() if isinstance(upper, dict) else upper
         pairs: dict[Var, tuple[int, int]] = {}
         for var, value in items:
@@ -491,7 +488,7 @@ class TransitionMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "TransitionMatrix":
-        return cls.diagonal([1] * n)
+        return cls.diagonal([1] * _int_at_least("dimension", n, 1))
 
     @classmethod
     def diagonal(cls, values: Sequence[Scalar]) -> "TransitionMatrix":
@@ -500,8 +497,13 @@ class TransitionMatrix:
 
     @classmethod
     def permutation(cls, perm: Sequence[int]) -> "TransitionMatrix":
-        """Matrix P with column k carrying basis vector perm[k] (0-based)."""
+        """Matrix P with column k carrying basis vector perm[k] (0-based).
+
+        perm must be a rearrangement of range(len(perm)), its entries ints.
+        """
         n = len(perm)
+        if sorted([_int_at_least("permutation entry", p, 0) for p in perm]) != list(range(n)):
+            raise ValueError(f"{list(perm)} is not a permutation of range({n})")
         rows = [[0] * n for _ in range(n)]
         for k, p in enumerate(perm):
             rows[p][k] = 1
@@ -661,11 +663,7 @@ def signature(a: SymmetricMatrix) -> Signature:
 
 def _seeded_bits(seed: int) -> Callable[[int], int]:
     """The getrandbits of Random(seed), seed an int at least 0 (Random(-s) repeats Random(s))."""
-    if type(seed) is not int:
-        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-    if seed < 0:
-        raise ValueError("seed must be at least 0")
-    return random.Random(seed).getrandbits
+    return random.Random(_int_at_least("seed", seed, 0)).getrandbits
 
 
 def _random_entries(n: int, bits: Callable[[int], int],
@@ -678,10 +676,7 @@ def _random_entries(n: int, bits: Callable[[int], int],
     for a span of s values, r = bits(s.bit_length()), drawn again while
     r >= s.  So the values are those of randint, without its per-call checks.
     """
-    if type(bound) is not int:
-        raise TypeError(f"bound must be an int, got {type(bound).__name__}")
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    _int_at_least("bound", bound, 1)
     span_p, span_q = 2 * bound + 1, bound
     k_p, k_q = span_p.bit_length(), span_q.bit_length()
     entries = []
@@ -705,10 +700,7 @@ def random_skew(n: int, seed: int, bound: int = 10) -> SkewMatrix:
     values Random(seed).randint gives, reduced to the canonical entries: the
     L of trial 1 of sign_probe with the same seed and bound.
     """
-    if type(n) is not int:
-        raise TypeError(f"dimension must be an int, got {type(n).__name__}")
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+    _int_at_least("dimension", n, 1)
     # tuple() of a list, not of a generator: a generator's tuple starts at 10
     # slots and is resized, which leaves one more block in the interpreter's
     # tuple free list of the final size per call (certify_positive makes 100).

@@ -143,6 +143,15 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
+def _int_at_least(name: str, value: int, least: int) -> int:
+    """value if it is an int, not a bool, at least least; else TypeError or ValueError."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """The product of two monomials: exponents of shared variables added."""
     exps = dict(a)
@@ -240,15 +249,10 @@ class MultiPoly:
         acc: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
             coeff = _as_fraction(coeff)
-            mono = tuple(mono)
-            if any(type(e) is not int for _, e in mono):
-                raise TypeError("monomial exponents must be ints")
-            mono = tuple(sorted((v, e) for v, e in mono if e))
-            for v, e in mono:
+            mono = tuple(sorted((v, e) for v, e in mono if _int_at_least("exponent", e, 0)))
+            for v, _ in mono:
                 if not isinstance(v, Var):
                     raise TypeError("monomial keys must be Var instances")
-                if e < 0:
-                    raise ValueError("negative exponents are not representable")
             acc[mono] = acc.get(mono, Fraction(0)) + coeff
         self._terms = {m: c for m, c in acc.items() if c}
         self._packed = None
@@ -382,11 +386,9 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        e = _int_at_least("exponent", exponent, 0)
         result = MultiPoly.constant(1)
         base = self
-        e = exponent
         while e:
             if e & 1:
                 result = result * base

@@ -280,9 +280,12 @@ def test_witness_search_exhaustion_is_honest():
     assert info.value.witness.anisotropic_at is None
 
 
+# 100000007 and 200000033 are primes past the trial division bound; a
+# binary form needs no factoring, as the small primes 2 and 3 decide it.
 @pytest.mark.parametrize("diag, prime", [([1, -2], 2), ([1, 1, -3, -3], 2),
-                                         ([1, 1, -10007 * 10009], None)],
-                         ids=["diag0", "diag1", "diag2"])
+                                         ([1, 1, -10007 * 10009], None),
+                                         ([1, -100000007], 2), ([1, -200000033], 3)],
+                         ids=["diag0", "diag1", "diag2", "diag3", "diag4"])
 def test_classify_gives_verdict_when_zero_search_is_exhausted(diag, prime):
     a = SymmetricMatrix.diagonal(diag)
     report = classify(a)

@@ -7,7 +7,9 @@ refusals; eval at n = 1...8 and 24; classify and witness on planted,
 zero-diagonal, anisotropic (n = 2, 3, 4), degenerate and definite forms and a
 scrambled hard n = 5 form; probe at bounds 1, 10 and 1000; malformed files;
 then, from a stream of their own, eval at n = 9...16 and 25...30 and probe
-at n = 8...16, so every ending of the determinant kernel is pinned.
+at n = 8...16, so every ending of the determinant kernel is pinned; and
+from a third stream expand and certify at --max-dim 0, with classify and
+witness on two binary forms that need no factoring.
 The digests in cli_corpus.json pin every output byte, so a change meant to
 keep the output keeps this test passing unchanged.  After a change meant to
 alter the output, regenerate them from the tests directory:
@@ -50,6 +52,7 @@ _ANISOTROPIC = [
     "4\n1 0 1 0\n0 1 0 1\n1 0 -2 0\n0 1 0 -2\n",
     "4\n1 0 0 0\n0 1 0 0\n0 0 -3 0\n0 0 0 -3\n",
 ]
+_BINARY_UNFACTORED = ["2\n1 0\n0 -100000007\n", "2\n1 0\n0 -200000033\n"]
 _HARD_SCRAMBLED_N5 = "5\n2 0 2 0 2\n0 3 0 0 0\n2 0 3 0 3\n0 0 0 -11 0\n2 0 3 0 8\n"
 # Spellings the reader accepts: signs, unreduced fractions, padding, blank lines.
 _SPELLED = "\n 3 \n+2 4/2 -0\n\n2 1/1 0/7\n0 0 -6/4\n"
@@ -147,6 +150,16 @@ def _calls():
         for bound in (1, 10, 1000):
             argv = ["probe", "a.txt", "--trials", "12", "--seed", str(n), "--bound", str(bound)]
             yield f"probe n={n} bound={bound} #1", argv, {"a.txt": text}
+
+    # A cap below 1 is an input error; binary forms anisotropic at a prime
+    # below the trial division bound, with a cofactor above it.
+    rng = random.Random(2525)
+    text = random_positive_definite(rng, 3).to_text()
+    for command in ("expand", "certify"):
+        yield f"{command} --max-dim 0", [command, "a.txt", "--max-dim", "0"], {"a.txt": text}
+    for k, text in enumerate(_BINARY_UNFACTORED):
+        for command in ("classify", "witness"):
+            yield f"{command} binary #{k}", [command, "a.txt"], {"a.txt": text}
 
 
 def _digest(code: int, out: str, err: str) -> str:

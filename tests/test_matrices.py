@@ -79,6 +79,23 @@ def test_transition_stores_reduced_columns():
     assert s.rows == ((1, Fraction(1, 2)), (0, Fraction(-2, 3)))
 
 
+@pytest.mark.parametrize("perm, error, message", [
+    ([-1, 0], ValueError, "permutation entry must be at least 0"),
+    ([0, 5], ValueError, "[0, 5] is not a permutation of range(2)"),
+    ([1, 1, 0], ValueError, "[1, 1, 0] is not a permutation of range(3)"),
+    ([0.0, 1], TypeError, "permutation entry must be an int, got float"),
+    ([True, 0], TypeError, "permutation entry must be an int, got bool"),
+], ids=["negative", "out_of_range", "repeated", "float", "bool"])
+def test_permutation_refuses_what_is_not_a_rearrangement_of_range_n(perm, error, message):
+    # [-1, 0] wrapped to the matrix of [1, 0], and [True, 0] built it too;
+    # [0, 5] and [0.0, 1] failed with a bare IndexError and TypeError.
+    with pytest.raises(error) as info:
+        TransitionMatrix.permutation(perm)
+    assert str(info.value) == message
+    assert TransitionMatrix.permutation((2, 0, 1)).columns == (
+        (1, (0, 0, 1)), (1, (1, 0, 0)), (1, (0, 1, 0)))
+
+
 def test_skew_constructor_refuses_a_repeated_variable():
     v = Var(1, 2)
     for items in ([(v, 5), (v, 0)], [(v, 5), (v, 3)], [(v, 0), (v, 0)]):
