@@ -25,12 +25,9 @@ from .engine import (
     Certificate,
     ExpansionTooLarge,
     NotPositiveDefinite,
-    OddSubset,
     certify_positive,
     eval_skewchar,
     expand_skewchar,
-    pfaffian,
-    sub_pfaffian_poly,
 )
 from .matrices import (
     DimensionMismatch,
@@ -39,7 +36,6 @@ from .matrices import (
     SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
-    congruence_skew,
     congruence_sym,
     det_rational,
     lagrange_diagonalize,
@@ -49,9 +45,7 @@ from .matrices import (
 from .polynomials import (
     MissingVariable,
     MultiPoly,
-    PolyParseError,
     Var,
-    lam,
 )
 
 __version__ = "0.1.0"
@@ -68,8 +62,6 @@ __all__ = [
     "MultiPoly",
     "NotIndefinite",
     "NotPositiveDefinite",
-    "OddSubset",
-    "PolyParseError",
     "PredictedSign",
     "ProbeReport",
     "Signature",
@@ -82,17 +74,13 @@ __all__ = [
     "WitnessSearchExhausted",
     "certify_positive",
     "classify",
-    "congruence_skew",
     "congruence_sym",
     "det_rational",
     "eval_skewchar",
     "expand_skewchar",
     "lagrange_diagonalize",
-    "lam",
-    "pfaffian",
     "random_skew",
     "sign_probe",
     "signature",
-    "sub_pfaffian_poly",
     "witness_indefinite",
 ]

@@ -253,7 +253,7 @@ def _enumerate_isotropic(m: list[list[int]], bound: int):
 
 
 # Trial division bound of the local anisotropy test.  A cofactor left over
-# is prime when it is at most _FACTOR_BOUND**2; a larger one skips the test.
+# is prime when it is at most _FACTOR_BOUND**2; a larger one is not factored.
 _FACTOR_BOUND = 10 ** 4
 
 
@@ -268,8 +268,12 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(p for p, is_prime in enumerate(sieve) if is_prime)
 
 
-def _prime_factors(k: int) -> Optional[set[int]]:
-    """The primes dividing the int k > 0, or None if a cofactor is too large."""
+def _prime_factors(k: int) -> tuple[set[int], bool]:
+    """The primes dividing the int k > 0 that trial division finds, and whether that is all.
+
+    When it is not, the cofactor left over is above _FACTOR_BOUND**2 and has
+    no prime factor up to _FACTOR_BOUND.
+    """
     primes = set()
     for p in _small_primes():
         if p * p > k:
@@ -279,10 +283,10 @@ def _prime_factors(k: int) -> Optional[set[int]]:
             while k % p == 0:
                 k //= p
     if k > _FACTOR_BOUND ** 2:
-        return None
+        return primes, False
     if k > 1:
         primes.add(k)
-    return primes
+    return primes, True
 
 
 def _split(a: int, p: int) -> tuple[int, int]:
@@ -334,26 +338,28 @@ def _anisotropic_prime(diag: Sequence[Fraction]) -> Optional[int]:
     """The least prime p with the diagonal form anisotropic over Q_p, or None.
 
     The form has rank 2, 3 or 4, and None means isotropic at every p, or
-    undecided: a d_i keeps a cofactor above _FACTOR_BOUND**2 after trial
-    division.  Each d_i is scaled to the int numerator * denominator, which
+    undecided.  Each d_i is scaled to the int numerator * denominator, which
     keeps its square class.  At rank 3 and 4 the form is isotropic at every
     odd p that divides no d_i, so only 2 and the prime factors need a test.
-    At rank 2 -d_1 d_2 is not a rational square (the pair test), so some
-    prime shows it: the small primes are scanned first, the factors only
-    if none does.
+    When a d_i keeps a cofactor above _FACTOR_BOUND**2 after trial division,
+    the primes it hides are all above _FACTOR_BOUND: 2 and the primes found
+    are still tested, and a prime up to _FACTOR_BOUND that decides is the
+    least; otherwise the test is undecided.  At rank 2 -d_1 d_2 is not a
+    rational square (the pair test), so some prime shows it: the small
+    primes are scanned first, the factors only if none does.
     """
     ints = [x.numerator * x.denominator for x in diag]
     if len(ints) == 2:
         for p in _small_primes():
             if not _locally_isotropic(ints, p):
                 return p
-    primes = {2}
+    primes, complete = {2}, True
     for k in ints:
-        factors = _prime_factors(abs(k))
-        if factors is None:
-            return None
+        factors, whole = _prime_factors(abs(k))
         primes |= factors
-    return next((p for p in sorted(primes) if not _locally_isotropic(ints, p)), None)
+        complete &= whole
+    p = next((p for p in sorted(primes) if not _locally_isotropic(ints, p)), None)
+    return p if complete or p is None or p <= _FACTOR_BOUND else None
 
 
 def _direct_isotropic(a: SymmetricMatrix, columns, diag2: Sequence[Fraction], m: int):

@@ -1,20 +1,18 @@
 """Command line interface.
 
-Subcommands: expand, eval, classify, witness, certify, probe, selftest.
+Subcommands: expand, eval, classify, witness, certify, probe.
 All output is deterministic plain text; seeded commands print their seed in
 a header so runs can be reproduced exactly.
 
-Exit codes: 0 success, 1 selftest failure or a witness search that found no
-rational zero within its budget, 2 input error, 3 dimension cap exceeded, 4
-witness proved that no rational zero exists (the form is anisotropic at a
-prime p).  In both witness cases classify still prints its verdict and exits 0.
+Exit codes: 0 success, 1 a witness search that found no rational zero
+within its budget, 2 input error, 3 dimension cap exceeded, 4 witness proved
+that no rational zero exists (the form is anisotropic at a prime p).  In
+both witness cases classify still prints its verdict and exits 0.
 
 The argument parser is built once per process (build_parser is cached), so
 repeated in-process calls of main() neither rebuild it nor leave its
 reference cycles behind as garbage.  Matrix files are read by the
 from_text methods of matrices, which parse each distinct token once per file.
-A command line call starts a fresh interpreter, so only the selftest
-subcommand imports (and compiles) the selftest module.
 """
 
 from __future__ import annotations
@@ -112,12 +110,6 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    from .selftest import run_selftest
-    failures = run_selftest()
-    return 1 if failures else 0
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -126,10 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Exact analysis of det(A - L): expansion, evaluation, definiteness "
             "classification, sign witnesses, and positivity certificates."),
         epilog=(
-            "exit codes: 0 success; 1 selftest failure, or witness found no "
-            "rational zero within its search budget; 2 input error; 3 dimension "
-            "cap exceeded; 4 witness proved that no rational zero exists (the "
-            "form is anisotropic at a prime p)."),
+            "exit codes: 0 success; 1 witness found no rational zero within its "
+            "search budget; 2 input error; 3 dimension cap exceeded; 4 witness "
+            "proved that no rational zero exists (the form is anisotropic at a "
+            "prime p)."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -172,9 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="each entry of L is p/q with |p| <= B and 1 <= q <= B "
                         "(default 10)")
     p.set_defaults(func=_cmd_probe)
-
-    p = sub.add_parser("selftest", help="run the embedded deterministic checks")
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -3,9 +3,8 @@
 For a symmetric matrix A and a skew-symmetric matrix L whose strict upper
 entries l_ij act as independent variables, det(A - L) is a polynomial of
 degree at most two in each l_ij.  This module expands it exactly, evaluates
-it at concrete skew matrices, computes Pfaffians (symbolic ones by the one
-kernel below, numeric ones by O(n^3) skew elimination: about 0.07 s at n=30)
-and builds weighted sum-of-squares certificates for positive definite A.
+it at concrete skew matrices and builds weighted sum-of-squares certificates
+for positive definite A.
 
 Expansion and certificates share one algorithm.  Congruence-diagonalize
 S^T A S = diag(d) with det S = +-1 (lagrange_diagonalize returns S and the
@@ -44,13 +43,9 @@ from .matrices import (
     lagrange_diagonalize,
     random_skew,
 )
-from .polynomials import MultiPoly, Var, _int_at_least, _unpack, packed_fields
+from .polynomials import MultiPoly, Var, _int_at_least, packed_fields
 
 DEFAULT_MAX_DIM = 7
-
-# Largest |U| for sub_pfaffian_poly: (12 - 1)!! = 10,395 terms in about
-# 0.3 s; |U| = 14 (135,135 terms) took 3.7 s and 243 MB.
-SUB_PFAFFIAN_MAX = 12
 
 # Seed base and point count of the sampled certificate verification.
 _CERT_CHECK_SEED = 90001
@@ -59,10 +54,6 @@ _CERT_CHECK_SAMPLES = 100
 
 class ExpansionTooLarge(ValueError):
     """The requested dimension exceeds the configured expansion cap."""
-
-
-class OddSubset(ValueError):
-    """Pfaffians of odd-dimensional principal submatrices do not exist."""
 
 
 class NotPositiveDefinite(ValueError):
@@ -80,58 +71,6 @@ def eval_skewchar(a: SymmetricMatrix, l: SkewMatrix) -> Fraction:
     return _scaled_det(a.int_rows, l.entries)
 
 
-def pfaffian(l: SkewMatrix) -> Fraction:
-    """Pfaffian of a skew matrix: squares to its determinant; 0 for odd n.
-
-    Exact skew elimination in O(n^3) (Parlett and Reid, BIT 1970): the first
-    index k pairs with the first p, t places on, with l_kp != 0, and
-    Pf = (-1)^t l_kp Pf(Schur complement of the block {k, p}).
-    """
-    m = [list(row) for row in l.full_rows()]
-    rest, result = list(range(l.n)), Fraction(1)
-    while rest:
-        k = rest.pop(0)
-        t = next((t for t, j in enumerate(rest) if m[k][j]), None)
-        if t is None:
-            return Fraction(0)
-        p = rest.pop(t)
-        a, b, pivot = m[k], m[p], m[k][p]
-        result *= -pivot if t % 2 else pivot
-        for i in rest:
-            f, g = b[i] / pivot, a[i] / pivot
-            for j in rest:
-                m[i][j] += f * a[j] - g * b[j]
-    return result
-
-
-def sub_pfaffian_poly(n: int, subset: Sequence[int]) -> MultiPoly:
-    """Symbolic Pfaffian of the principal submatrix L[subset] (1-based indices).
-
-    The empty subset yields the constant 1; odd subsets are rejected, and so
-    is a subset of more than SUB_PFAFFIAN_MAX = 12 indices (ExpansionTooLarge):
-    the result has (|U| - 1)!! terms.  Built by the packed kernel at S = I
-    with weights 0, l_ab renamed l_{subset[a], subset[b]}.
-    """
-    _int_at_least("dimension", n, 0)
-    subset = tuple(subset)
-    if len(subset) % 2:
-        raise OddSubset(f"subset {subset} has odd cardinality")
-    if any(not (1 <= s <= n) for s in subset):
-        raise ValueError(f"subset {subset} out of range for dimension {n}")
-    if any(subset[k] >= subset[k + 1] for k in range(len(subset) - 1)):
-        raise ValueError(f"subset {subset} must be strictly increasing")
-    k = len(subset)
-    if k > SUB_PFAFFIAN_MAX:
-        raise ExpansionTooLarge(
-            f"subset size {k} exceeds the Pfaffian cap {SUB_PFAFFIAN_MAX}")
-    [(_, _, root)], _ = _packed_pfaffians(
-        [(1, [int(p == u) for p in range(k)]) for u in range(k)], [0] * k)
-    name = {Var(a + 1, b + 1): Var(subset[a], subset[b])
-            for a, b in itertools.combinations(range(k), 2)}
-    return MultiPoly._raw({tuple((name[v], e) for v, e in mono): c
-                           for mono, c in _unpack(k, root, 1).items()})
-
-
 class Certificate(NamedTuple):
     """A positivity certificate: det(A - L) = sum of weight * square_root^2.
 
@@ -143,14 +82,6 @@ class Certificate(NamedTuple):
 
     n: int
     terms: tuple  # tuple[tuple[Fraction, MultiPoly], ...]
-
-    def replay_poly(self) -> MultiPoly:
-        """Symbolic replay of the certified polynomial.
-
-        Plain MultiPoly arithmetic, independent of the packed kernel that
-        built the certificate, so a replay checks that kernel.
-        """
-        return sum((w * r * r for w, r in self.terms), MultiPoly.zero())
 
     def evaluate(self, l: SkewMatrix) -> Fraction:
         """Exact numeric replay at a concrete skew matrix of the same dimension."""

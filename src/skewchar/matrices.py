@@ -8,7 +8,7 @@ matrix classes store its input.  SymmetricMatrix.int_rows holds row a_i as
 SkewMatrix.entries holds each nonzero l_ij = p/q, i < j, as (i, j, p, q),
 0-based, p/q reduced, sorted.  Both are canonical, so == and hash read them;
 the Fraction views rows and upper are built on first use.  A constructor
-converts each value once; -L and SkewMatrix.from_full build entries
+converts each value once; -L, random_skew and the skew reader build entries
 directly and skip the validating constructor.  The kernel has two stages.
 _kernel_matrix folds L into the stored rows: one pass over L collects each
 row's denominators, row i is scaled to c = lcm(c_i, q of each entry in
@@ -30,11 +30,11 @@ on the columns of S, each kept as (q, ints).
 
 The text readers refuse non-ASCII text, then share one prologue: strip the
 lines, drop blank ones, read the dimension.  Dimensions, indices and values
-follow the ASCII number grammar kept in polynomials, the one polynomial text
-uses too; an error message echoes at most the first 60 characters of a bad
-token or line, or of the dimension.  Each distinct token is parsed once per
-file, a value into its reduced int pair (p, q), and the stored state is
-built from the pairs: no Fraction or Var per entry.
+follow the ASCII number grammar kept in polynomials; an error message
+echoes at most the first 60 characters of a bad token or line, or of the
+dimension.  Each distinct token is parsed once per file, a value into its
+reduced int pair (p, q), and the stored state is built from the pairs: no
+Fraction or Var per entry.
 """
 
 from __future__ import annotations
@@ -65,6 +65,13 @@ def _square_rows(rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Fraction, ...]
     if n == 0 or any(len(row) != n for row in frows):
         raise ValueError("matrix must be square and nonempty")
     return frows
+
+
+def _check_index(n: int, i: int, j: int) -> None:
+    if type(i) is not int or type(j) is not int:
+        raise TypeError(f"entry indices must be ints, got ({i!r}, {j!r})")
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"entry ({i}, {j}) is outside a matrix of dimension {n}")
 
 
 def _matmul(a, b):
@@ -287,6 +294,8 @@ class SymmetricMatrix:
         return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     def entry(self, i: int, j: int) -> Fraction:
+        """0-based entry; an index that is not an int in range(n) is refused."""
+        _check_index(self.n, i, j)
         return self.rows[i][j]
 
     def det(self) -> Fraction:
@@ -379,30 +388,16 @@ class SkewMatrix:
     def zero(cls, n: int) -> "SkewMatrix":
         return cls(n)
 
-    @classmethod
-    def from_full(cls, rows: Iterable[Iterable[Scalar]]) -> "SkewMatrix":
-        frows = _square_rows(rows)
-        n = len(frows)
-        for i in range(n):
-            if frows[i][i] != 0:
-                raise ValueError(f"nonzero diagonal entry at ({i + 1}, {i + 1})")
-            for j in range(i + 1, n):
-                if frows[i][j] != -frows[j][i]:
-                    raise ValueError(f"not skew-symmetric at ({i + 1}, {j + 1})")
-        return cls._trusted(n, tuple([(i, j, *frows[i][j].as_integer_ratio())
-                                      for i in range(n) for j in range(i + 1, n)
-                                      if frows[i][j]]))
-
     def entry(self, i: int, j: int) -> Fraction:
-        """0-based signed entry: upper values positive, mirrored ones negated."""
+        """0-based signed entry: upper values positive, mirrored ones negated.
+
+        An index that is not an int in range(n) is refused.
+        """
+        _check_index(self.n, i, j)
         # upper is keyed by Var, which equals and hashes as its (i, j) tuple.
         if i <= j:
             return self.upper.get((i + 1, j + 1), _ZERO)
         return -self.upper.get((j + 1, i + 1), _ZERO)
-
-    def full_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple([tuple([self.entry(i, j) for j in range(self.n)])
-                      for i in range(self.n)])
 
     def __neg__(self) -> "SkewMatrix":
         return SkewMatrix._trusted(self.n, tuple([(i, j, -p, q) for i, j, p, q in self.entries]))
@@ -528,14 +523,6 @@ def congruence_sym(a: SymmetricMatrix, s: TransitionMatrix) -> SymmetricMatrix:
         raise DimensionMismatch(f"form has n={a.n}, transition has n={s.n}")
     st = list(zip(*s.rows))
     return SymmetricMatrix(_matmul(_matmul(st, a.rows), s.rows))
-
-
-def congruence_skew(l: SkewMatrix, s: TransitionMatrix) -> SkewMatrix:
-    """The transformed matrix S^T L S; skew-symmetry is preserved exactly."""
-    if l.n != s.n:
-        raise DimensionMismatch(f"skew matrix has n={l.n}, transition has n={s.n}")
-    st = list(zip(*s.rows))
-    return SkewMatrix.from_full(_matmul(_matmul(st, l.full_rows()), s.rows))
 
 
 def _scaled_matrix(rows: Sequence[tuple[int, Sequence[int]]]) -> tuple[int, list[list[int]]]:

@@ -1,21 +1,167 @@
 """Independent oracles the test suite checks the library against.
 
-Nothing here shares code with the implementation under test: the symbolic
-matrix A - L is assembled entry by entry from MultiPoly and Var, determinants
-go through cofactor expansion instead of the Pfaffian expansion,
-Pfaffians through first-row expansion instead of skew elimination or the
-packed subset kernel, signatures come from characteristic polynomial
-coefficients via the Faddeev-LeVerrier recurrence and Descartes' rule (exact
-for symmetric matrices, whose eigenvalues are all real), and the congruence
-diagonalization is reproduced by plain Fraction elimination.
+Nothing here shares code with the implementation under test: Poly is a
+term-by-term polynomial algebra, independent of the packed kernel, and the
+symbolic matrix A - L is assembled entry by entry from it; determinants go
+through cofactor expansion instead of the Pfaffian expansion, Pfaffians
+through first-row expansion instead of the packed subset kernel, signatures
+come from characteristic polynomial coefficients via the Faddeev-LeVerrier
+recurrence and Descartes' rule (exact for symmetric matrices, whose
+eigenvalues are all real), and the congruence diagonalization is reproduced
+by plain Fraction elimination.  The checks at the end compose library calls
+with these: a certificate replayed in Poly, both sides of the basis-change
+law with S^T L S formed here, and a verdict against its own witnesses or
+sign probe.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import mul
+from typing import Iterable, Mapping
 
-from skewchar import MultiPoly, Var, lam
+from skewchar import (
+    MultiPoly,
+    PredictedSign,
+    SkewMatrix,
+    SymmetricMatrix,
+    Var,
+    Verdict,
+    classify,
+    eval_skewchar,
+    sign_probe,
+)
+
+
+class Poly:
+    """A sparse polynomial in the Var l<i>_<j> with Fraction coefficients.
+
+    _terms maps each monomial, a tuple of (Var, exponent) pairs sorted by
+    variable with every exponent positive, to its nonzero coefficient.  An
+    int, a Fraction or a library MultiPoly is coerced to a Poly wherever a
+    Poly is expected, so a Poly compares equal to a library result with the
+    same terms, and a constant hashes like its coefficient.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping | Iterable = ()) -> None:
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        acc: dict = {}
+        for mono, coeff in items:
+            for _, e in mono:
+                if type(e) is not int:
+                    raise TypeError(f"exponent must be an int, got {type(e).__name__}")
+                if e < 0:
+                    raise ValueError("exponent must be at least 0")
+            mono = tuple(sorted((v, e) for v, e in mono if e))
+            acc[mono] = acc.get(mono, 0) + Fraction(coeff)
+        self._terms = {m: c for m, c in acc.items() if c}
+
+    @classmethod
+    def _of(cls, terms: dict) -> Poly:
+        # terms is already canonical: no constructor pass.
+        p = object.__new__(cls)
+        p._terms = terms
+        return p
+
+    @staticmethod
+    def _coerce(other) -> Poly | None:
+        if isinstance(other, Poly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Poly({(): other})
+        if isinstance(other, MultiPoly):
+            return Poly(other.terms())
+        return None
+
+    def terms(self):
+        return iter(self._terms.items())
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __add__(self, other) -> Poly:
+        q = self._coerce(other)
+        if q is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for m, c in q._terms.items():
+            s = out.get(m, 0) + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return Poly._of(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Poly:
+        return Poly._of({m: -c for m, c in self._terms.items()})
+
+    def __sub__(self, other) -> Poly:
+        q = self._coerce(other)
+        return NotImplemented if q is None else self + -q
+
+    def __rsub__(self, other) -> Poly:
+        q = self._coerce(other)
+        return NotImplemented if q is None else q + -self
+
+    def __mul__(self, other) -> Poly:
+        q = self._coerce(other)
+        if q is None:
+            return NotImplemented
+        out: dict = {}
+        for ma, ca in self._terms.items():
+            for mb, cb in q._terms.items():
+                exps = dict(ma)
+                for v, e in mb:
+                    exps[v] = exps.get(v, 0) + e
+                m = tuple(sorted(exps.items()))
+                out[m] = out.get(m, 0) + ca * cb
+        return Poly._of({m: c for m, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> Poly:
+        result = Poly({(): 1})
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __eq__(self, other) -> bool:
+        q = self._coerce(other)
+        return NotImplemented if q is None else self._terms == q._terms
+
+    def __hash__(self) -> int:
+        if self._terms.keys() <= {()}:
+            return hash(self._terms.get((), 0))
+        return hash(frozenset(self._terms.items()))
+
+    def __str__(self) -> str:
+        """Canonical text (polynomials module docstring), sorted by a key of its own."""
+        def order(item):
+            mono = item[0]
+            return sum(e for _, e in mono), [(v.i, v.j, -e) for v, e in mono]
+
+        text = ""
+        for mono, c in sorted(self._terms.items(), key=order):
+            factors = "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in mono)
+            coeff = str(abs(c))
+            term = coeff if not factors else factors if coeff == "1" else f"{coeff}*{factors}"
+            text += (" - " if c < 0 else " + ") + term
+        if not text:
+            return "0"
+        return ("-" if text[1] == "-" else "") + text[3:]
+
+    def __repr__(self) -> str:
+        return f"Poly({str(self)!r})"
+
+
+def lam(i: int, j: int) -> Poly:
+    """The polynomial consisting of the single variable l<i>_<j>."""
+    return Poly({((Var(i, j), 1),): 1})
 
 
 def cofactor_det(rows):
@@ -41,9 +187,9 @@ def cofactor_det(rows):
     return minor(0, tuple(range(n)))
 
 
-def golden_identity_poly(n: int) -> MultiPoly:
+def golden_identity_poly(n: int) -> Poly:
     """The expanded determinant for the identity form (n <= 4), built term by term."""
-    total = MultiPoly.constant(1)
+    total = Poly({(): 1})
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             total = total + lam(i, j) ** 2
@@ -69,17 +215,17 @@ def pfaffian_first_row(rows, indices=None):
 
 
 def symbolic_difference(a):
-    """Rows of A - L as MultiPoly entries: a_ij - l_ij above the diagonal,
+    """Rows of A - L as Poly entries: a_ij - l_ij above the diagonal,
     a_ij + l_ji below it, a_ii on it."""
     rows = []
     for i in range(a.n):
         row = []
         for j in range(a.n):
-            entry = MultiPoly.constant(a.entry(i, j))
+            entry = Poly({(): a.entry(i, j)})
             if i < j:
-                entry = entry - MultiPoly.variable(Var(i + 1, j + 1))
+                entry = entry - lam(i + 1, j + 1)
             elif i > j:
-                entry = entry + MultiPoly.variable(Var(j + 1, i + 1))
+                entry = entry + lam(j + 1, i + 1)
             row.append(entry)
         rows.append(row)
     return rows
@@ -180,3 +326,59 @@ def lagrange_reference(a) -> tuple[tuple, tuple]:
     d = tuple(tuple(m[i][i] if i == j else Fraction(0) for j in range(n))
               for i in range(n))
     return tuple(tuple(row) for row in s), d
+
+
+def skew_rows(l: SkewMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """The full rows of a skew matrix, read entry by entry."""
+    return tuple(tuple(l.entry(i, j) for j in range(l.n)) for i in range(l.n))
+
+
+def _product(x, y):
+    return [[sum(map(mul, row, col)) for col in zip(*y)] for row in x]
+
+
+def replay_poly(cert) -> Poly:
+    """The polynomial a certificate certifies: the sum of weight * root^2, in Poly."""
+    return sum((w * Poly(r.terms()) ** 2 for w, r in cert.terms), Poly())
+
+
+def covariance_check(a, l, s) -> tuple[Fraction, Fraction]:
+    """Both sides of the basis-change law: (P(S^T A S, S^T L S), det(S)^2 P(A, L)).
+
+    S^T A S and S^T L S are formed here over Fraction.  The two components
+    agree for every valid input; callers assert equality.
+    """
+    n = s.n
+    st = list(zip(*s.rows))
+    sas = _product(_product(st, a.rows), s.rows)
+    sls = _product(_product(st, skew_rows(l)), s.rows)
+    skew = SkewMatrix(n, {Var(i + 1, j + 1): sls[i][j]
+                          for i in range(n) for j in range(i + 1, n)})
+    return eval_skewchar(SymmetricMatrix(sas), skew), s.det ** 2 * eval_skewchar(a, l)
+
+
+def crosscheck_classification(a, trials: int = 200, seed: int = 0, bound: int = 10) -> bool:
+    """Consistency check between the verdict and the polynomial's behaviour.
+
+    Definite verdicts must see their predicted strict sign on every probe;
+    non-definite verdicts must carry witnesses that validate exactly.
+    """
+    report = classify(a)
+    if report.verdict in (Verdict.POSITIVE_DEFINITE, Verdict.NEGATIVE_DEFINITE):
+        probe = sign_probe(a, trials, seed, bound)
+        if probe.zeros:
+            return False
+        if report.predicted_sign is PredictedSign.ALWAYS_POSITIVE:
+            return probe.positives == trials
+        return probe.negatives == trials
+    w = report.witness
+    if w is None:
+        return False
+    if w.lambda_zero is not None and eval_skewchar(a, w.lambda_zero) != 0:
+        return False
+    if report.verdict is Verdict.INDEFINITE:
+        if w.lambda_plus is None or w.lambda_minus is None:
+            return False
+        return (eval_skewchar(a, w.lambda_plus) > 0
+                and eval_skewchar(a, w.lambda_minus) < 0)
+    return True

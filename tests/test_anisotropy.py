@@ -23,7 +23,7 @@ from skewchar import (
     eval_skewchar,
     witness_indefinite,
 )
-from skewchar.analyzer import _anisotropic_prime, _hilbert, _locally_isotropic
+from skewchar.analyzer import _anisotropic_prime, _hilbert, _locally_isotropic, _small_primes
 from skewchar.cli import main
 
 
@@ -158,14 +158,19 @@ def test_rational_denominators_keep_the_square_class():
 
 
 def test_unfactored_entry_skips_the_local_test():
-    # 10007 and 10009 lie above the trial division bound and their product
-    # above its square, so the test does not decide, even though the form
-    # is anisotropic at 10007 (= 3 mod 4).
-    diag = [1, 1, -10007 * 10009]
+    # 10007 and 10039 lie above the trial division bound and their product
+    # above its square.  The form is isotropic at 2 and at every prime below
+    # the bound, so the test does not decide, even though the form is
+    # anisotropic at 10007 (= 3 mod 4).
+    diag = [1, 1, -10007 * 10039]
     assert _anisotropic_prime([Fraction(d) for d in diag]) is None
-    assert not _locally_isotropic(diag, 10007)
+    assert [p for p in (*_small_primes(), 10007, 10039)
+            if not _locally_isotropic(diag, p)] == [10007, 10039]
     with pytest.raises(WitnessSearchExhausted):
         witness_indefinite(SymmetricMatrix.diagonal(diag))
+    # 2 and the small primes are still tested: 10007 * 10009 = 7 mod 8 is
+    # not a sum of two squares in Q_2.
+    assert _anisotropic_prime([Fraction(d) for d in (1, 1, -10007 * 10009)]) == 2
 
 
 def test_witness_of_anisotropic_n4_form_is_fast(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Tests for symbolic expansion, evaluation, Pfaffians and certificates."""
+"""Tests for symbolic expansion, evaluation, the Pfaffian kernel and certificates."""
 
 import hashlib
 import itertools
@@ -18,33 +18,37 @@ from generators import (
     random_zero_diagonal,
     sparse_skew,
 )
-from oracles import cofactor_det, golden_identity_poly, pfaffian_first_row, symbolic_difference
+from oracles import (
+    Poly,
+    cofactor_det,
+    covariance_check,
+    golden_identity_poly,
+    lam,
+    pfaffian_first_row,
+    replay_poly,
+    skew_rows,
+    symbolic_difference,
+)
 from skewchar import (
     Certificate,
     DimensionMismatch,
     ExpansionTooLarge,
     MultiPoly,
     NotPositiveDefinite,
-    OddSubset,
     SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
     Var,
     certify_positive,
-    det_rational,
     eval_skewchar,
     expand_skewchar,
     lagrange_diagonalize,
-    lam,
-    pfaffian,
     random_skew,
-    sub_pfaffian_poly,
 )
 from skewchar.engine import _packed_pfaffians
 from skewchar.polynomials import _unpack
-from skewchar.selftest import covariance_check
 
-ONE = MultiPoly.constant(1)
+ONE = Poly({(): 1})
 
 
 def poly_at_skew(p: MultiPoly, l: SkewMatrix) -> Fraction:
@@ -66,7 +70,7 @@ def test_expand_general_2x2():
     rng = random.Random(31)
     for _ in range(10):
         a = random_symmetric(rng, 2)
-        assert expand_skewchar(a) == MultiPoly.constant(a.det()) + lam(1, 2) ** 2
+        assert expand_skewchar(a) == a.det() + lam(1, 2) ** 2
 
 
 def test_expand_dimension_cap():
@@ -138,12 +142,13 @@ def test_expand_n7_is_fast():
 
 def test_expand_prints_without_building_var_terms():
     # The result keeps the kernel's packed monomials; text and length read
-    # them directly, and the Var terms are built only for term access.
+    # them directly, and the Var terms are built only for term access.  The
+    # oracle prints the same terms to the same text.
     p = expand_skewchar(random_symmetric(random.Random(815), 5))
     text, size = str(p), len(p)
     with pytest.raises(AttributeError):
         object.__getattribute__(p, "_terms")
-    assert size == len(list(p.terms())) and MultiPoly.parse(text) == p
+    assert size == len(list(p.terms())) and str(Poly(p.terms())) == text
 
 
 def test_expand_n8_text_golden_and_print_time():
@@ -298,81 +303,60 @@ def test_parity_law(n):
         assert eval_skewchar(-a, -l) == (-1) ** n * eval_skewchar(a, l)
 
 
-# -- Pfaffians --------------------------------------------------------------------
+# -- the Pfaffian kernel ----------------------------------------------------------
 
 
-def test_pfaffian_2x2():
-    assert pfaffian(SkewMatrix(2, {Var(1, 2): Fraction(5, 3)})) == Fraction(5, 3)
+def kernel_root(k: int) -> dict:
+    """Pf(L) in dimension k, packed: the kernel's root at S = I.
+
+    With every weight 0 only the full index set keeps a term, and an odd one
+    none, as its Pfaffian is 0.
+    """
+    terms, _ = _packed_pfaffians(
+        [(1, [int(p == u) for p in range(k)]) for u in range(k)], [0] * k)
+    return next((root for _, _, root in terms), {})
 
 
-def test_pfaffian_odd_dimension():
-    assert pfaffian(random_skew(3, 1)) == 0
-    assert pfaffian(random_skew(5, 1)) == 0
-    assert pfaffian(random_skew(7, 1)) == 0
+def kernel_pfaffian(subset) -> Poly:
+    """Pf(L[subset]), 1-based indices, from kernel_root(|subset|).
 
-
-def test_pfaffian_4x4_formula():
-    l = SkewMatrix(4, {Var(1, 2): 1, Var(1, 3): 2, Var(1, 4): 3,
-                       Var(2, 3): 4, Var(2, 4): 5, Var(3, 4): 6})
-    # l12*l34 - l13*l24 + l14*l23 = 6 - 10 + 12
-    assert pfaffian(l) == 8
-
-
-@pytest.mark.parametrize("n", [2, 4, 6, 8, 30, 40])
-def test_pfaffian_squares_to_determinant(n):
-    for seed in range(10):
-        l = random_skew(n, 1000 + seed, 6)
-        assert pfaffian(l) ** 2 == det_rational(l.full_rows())
+    Its l_ab is renamed l_{subset[a], subset[b]}, so the cost depends on
+    |subset| alone.
+    """
+    k = len(subset)
+    name = {Var(a + 1, b + 1): Var(subset[a], subset[b])
+            for a, b in itertools.combinations(range(k), 2)}
+    return Poly({tuple((name[v], e) for v, e in mono): c
+                 for mono, c in _unpack(k, kernel_root(k), 1).items()})
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_pfaffian_matches_first_row_oracle(n):
-    # Sign-exact, unlike Pf^2 = det.
+    # The kernel's Pfaffian at numeric skew matrices: sign-exact, unlike
+    # Pf^2 = det, and the sparse draws often give 0.
     rng = random.Random(1200 + n)
     mats = [random_skew(n, 1300 + 20 * n + k, 7) for k in range(10)]
     mats += [sparse_skew(rng, n) for _ in range(30)]
-    values = [pfaffian(l) for l in mats]
-    assert values == [pfaffian_first_row(l.full_rows()) for l in mats]
+    pf = MultiPoly._from_packed(n, kernel_root(n), 1)
+    values = [pf.evaluate({Var(i + 1, j + 1): l.entry(i, j)
+                           for i in range(n) for j in range(i + 1, n)}) for l in mats]
+    assert values == [pfaffian_first_row(skew_rows(l)) for l in mats]
     if n % 2 == 0:
         assert any(v == 0 for v in values) and any(v < 0 for v in values)
 
 
-def test_pfaffian_n30_is_fast():
-    l = random_skew(30, 31, 10)
-    start = time.perf_counter()
-    value = pfaffian(l)
-    elapsed = time.perf_counter() - start
-    assert value ** 2 == det_rational(l.full_rows())
-    assert elapsed < 2.0, f"pfaffian at n=30 took {elapsed:.2f}s"
-
-
 def test_sub_pfaffian_empty_subset():
-    assert sub_pfaffian_poly(4, ()) == ONE
+    assert kernel_pfaffian(()) == ONE
 
 
 def test_sub_pfaffian_pair():
-    assert sub_pfaffian_poly(4, (1, 2)) == lam(1, 2)
-    assert sub_pfaffian_poly(5, (2, 4)) == lam(2, 4)
+    assert kernel_pfaffian((1, 2)) == lam(1, 2)
+    assert kernel_pfaffian((2, 4)) == lam(2, 4)
 
 
 def test_sub_pfaffian_full_4():
     expected = lam(1, 2) * lam(3, 4) - lam(1, 3) * lam(2, 4) + lam(1, 4) * lam(2, 3)
-    assert sub_pfaffian_poly(4, (1, 2, 3, 4)) == expected
-
-
-def test_sub_pfaffian_rejects_odd_subset():
-    with pytest.raises(OddSubset):
-        sub_pfaffian_poly(4, (1, 2, 3))
-
-
-def test_sub_pfaffian_rejects_bad_subsets():
-    with pytest.raises(ValueError):
-        sub_pfaffian_poly(4, (2, 1))
-    with pytest.raises(ValueError):
-        sub_pfaffian_poly(4, (1, 5))
-    for subset in ((1.0, 2.0), (True, 2)):
-        with pytest.raises(TypeError):
-            sub_pfaffian_poly(4, subset)
+    assert kernel_pfaffian((1, 2, 3, 4)) == expected
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -382,34 +366,25 @@ def test_sub_pfaffian_matches_first_row_oracle(n):
     for size in range(0, n + 1, 2):
         for subset in itertools.combinations(range(1, n + 1), size):
             expected = pfaffian_first_row(rows, tuple(u - 1 for u in subset))
-            assert sub_pfaffian_poly(n, subset) == expected
+            assert kernel_pfaffian(subset) == expected
 
 
 def test_sub_pfaffian_cost_does_not_depend_on_n():
     # Packing all n(n-1)/2 variables of L would take seconds at n=100.
-    start = time.perf_counter()
-    p = sub_pfaffian_poly(100, (3, 5, 7, 100))
-    assert time.perf_counter() - start < 0.5
+    p = kernel_pfaffian((3, 5, 7, 100))
     assert p == lam(3, 5) * lam(7, 100) - lam(3, 7) * lam(5, 100) + lam(3, 100) * lam(5, 7)
 
 
-def test_sub_pfaffian_refuses_more_than_12_indices():
-    # |U| = 12 has 11!! = 10,395 terms; |U| = 14 (135,135 terms) took 3.7 s
-    # and 243 MB before the cap, and is now refused before any work.
-    assert len(dict(sub_pfaffian_poly(12, range(1, 13)).terms())) == 10395
-    for n, subset in ((14, range(1, 15)), (10 ** 6, range(1, 10 ** 6, 50_000))):
-        start = time.perf_counter()
-        with pytest.raises(ExpansionTooLarge, match="exceeds the Pfaffian cap 12"):
-            sub_pfaffian_poly(n, subset)
-        assert time.perf_counter() - start < 0.05
+def test_sub_pfaffian_of_12_indices_has_10395_terms():
+    # (12 - 1)!! perfect matchings, each a term of its own.
+    assert len(kernel_pfaffian(range(1, 13))) == 10395
 
 
 def test_sub_pfaffian_squares_to_symbolic_determinant():
     # Pf(L[U])^2 equals det of the symbolic principal submatrix, n = 4 full set
-    p = sub_pfaffian_poly(4, (1, 2, 3, 4))
+    p = kernel_pfaffian((1, 2, 3, 4))
     rows = [[(
-        lam(i + 1, j + 1) if i < j else (-lam(j + 1, i + 1) if i > j
-                                         else MultiPoly.zero())
+        lam(i + 1, j + 1) if i < j else (-lam(j + 1, i + 1) if i > j else Poly())
     ) for j in range(4)] for i in range(4)]
     assert p * p == cofactor_det(rows)
 
@@ -423,7 +398,7 @@ def test_certificate_identity_2():
         (Fraction(1), ONE),
         (Fraction(1), lam(1, 2)),
     ]
-    assert cert.replay_poly() == golden_identity_poly(2)
+    assert replay_poly(cert) == golden_identity_poly(2)
 
 
 def test_certificate_identity_4_reproduces_golden():
@@ -431,11 +406,11 @@ def test_certificate_identity_4_reproduces_golden():
     assert len(cert.terms) == 8
     roots = [root for _, root in cert.terms]
     assert roots[0] == ONE
-    assert set(roots[1:7]) == {lam(i, j) for i in range(1, 5)
-                               for j in range(i + 1, 5)}
+    assert {Poly(r.terms()) for r in roots[1:7]} == {lam(i, j) for i in range(1, 5)
+                                                   for j in range(i + 1, 5)}
     assert roots[7] == lam(1, 2) * lam(3, 4) - lam(1, 3) * lam(2, 4) + lam(1, 4) * lam(2, 3)
     assert all(w == 1 for w, _ in cert.terms)
-    assert cert.replay_poly() == golden_identity_poly(4)
+    assert replay_poly(cert) == golden_identity_poly(4)
 
 
 def test_certificate_diag_2_3():
@@ -444,7 +419,7 @@ def test_certificate_diag_2_3():
         (Fraction(6), ONE),
         (Fraction(1), lam(1, 2)),
     ]
-    assert cert.replay_poly() == MultiPoly.constant(6) + lam(1, 2) ** 2
+    assert replay_poly(cert) == 6 + lam(1, 2) ** 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -454,7 +429,7 @@ def test_certificate_random_positive_definite(n):
         a = random_positive_definite(rng, n)
         cert = certify_positive(a)
         assert all(w > 0 for w, _ in cert.terms)
-        assert cert.replay_poly() == cofactor_det(symbolic_difference(a))
+        assert replay_poly(cert) == cofactor_det(symbolic_difference(a))
 
 
 def test_certificate_rejects_non_positive():

@@ -7,17 +7,13 @@ TypeError naming the type it got, or a ValueError naming the least value.
 import pytest
 
 from skewchar import (
-    MultiPoly,
     SkewMatrix,
     SymmetricMatrix,
     TransitionMatrix,
-    Var,
     certify_positive,
     expand_skewchar,
-    lam,
     random_skew,
     sign_probe,
-    sub_pfaffian_poly,
 )
 
 _I2 = SymmetricMatrix.identity(2)
@@ -31,8 +27,6 @@ _SITES = [
     ("sign_probe-trials", lambda x: sign_probe(_I2, x), "trials", 1),
     ("sign_probe-seed", lambda x: sign_probe(_I2, 1, seed=x), "seed", 0),
     ("sign_probe-bound", lambda x: sign_probe(_I2, 1, bound=x), "bound", 1),
-    ("MultiPoly", lambda x: MultiPoly({((Var(1, 2), x),): 1}), "exponent", 0),
-    ("MultiPoly-pow", lambda x: lam(1, 2) ** x, "exponent", 0),
     ("expand_skewchar", lambda x: expand_skewchar(_I2, max_dim=x), "max_dim", 1),
     ("certify_positive", lambda x: certify_positive(_I2, max_dim=x), "max_dim", 1),
     ("SymmetricMatrix.identity", lambda x: SymmetricMatrix.identity(x), "dimension", 1),
@@ -40,7 +34,6 @@ _SITES = [
     ("TransitionMatrix.identity", lambda x: TransitionMatrix.identity(x), "dimension", 1),
     ("TransitionMatrix.permutation", lambda x: TransitionMatrix.permutation([x]),
      "permutation entry", 0),
-    ("sub_pfaffian_poly", lambda x: sub_pfaffian_poly(x, ()), "dimension", 0),
 ]
 
 

@@ -27,7 +27,6 @@ from skewchar import (
     SymmetricMatrix,
     TransitionMatrix,
     Var,
-    congruence_skew,
     congruence_sym,
     det_rational,
     lagrange_diagonalize,
@@ -56,15 +55,6 @@ def test_negation_reads_int_rows():
 def test_symmetric_constructor_rejects_asymmetry():
     with pytest.raises(ValueError):
         SymmetricMatrix([[1, 2], [3, 4]])
-
-
-def test_skew_from_full_validation():
-    with pytest.raises(ValueError):
-        SkewMatrix.from_full([[1, 0], [0, 0]])
-    with pytest.raises(ValueError):
-        SkewMatrix.from_full([[0, 1], [1, 0]])
-    l = SkewMatrix.from_full([[0, 2], [-2, 0]])
-    assert l.upper == {Var(1, 2): Fraction(2)}
 
 
 def test_transition_rejects_singular():
@@ -122,8 +112,8 @@ def _seeded_skews() -> list[SkewMatrix]:
 
 
 def test_derived_skew_matrices_match_the_constructor():
-    # -l, from_full and entry are built from the stored entries; each must
-    # give what the validating constructor and the entries themselves give.
+    # -l and entry are built from the stored entries; each must give what
+    # the validating constructor and the entries themselves give.
     for l in _seeded_skews():
         neg = -l
         built = SkewMatrix(l.n, {v: -c for v, c in l.upper.items()})
@@ -132,13 +122,29 @@ def test_derived_skew_matrices_match_the_constructor():
         full = [[Fraction(0)] * l.n for _ in range(l.n)]
         for i, j, p, q in l.entries:
             full[i][j], full[j][i] = Fraction(p, q), Fraction(-p, q)
-        assert l.full_rows() == tuple(map(tuple, full))
         assert all(l.entry(i, j) == full[i][j] for i in range(l.n) for j in range(l.n))
-        assert SkewMatrix.from_full(l.full_rows()) == l
-        assert hash(SkewMatrix.from_full(full)) == hash(l)
 
 
-_ROW_ENTRY_POINTS = [SymmetricMatrix, SkewMatrix.from_full, TransitionMatrix, det_rational]
+@pytest.mark.parametrize("matrix, i, j, error, message", [
+    pytest.param(m, i, j, error, message.format(i, j), id=f"{type(m).__name__}({i},{j})")
+    for m in (SymmetricMatrix([[1, 2], [2, 3]]), SkewMatrix(2, {Var(1, 2): 5}))
+    for i, j, error, message in [
+        *[(i, j, IndexError, "entry ({}, {}) is outside a matrix of dimension 2")
+          for i, j in ((-1, 0), (0, -1), (-1, 1), (2, 0), (0, 7))],
+        *[(i, j, TypeError, "entry indices must be ints, got ({!r}, {!r})")
+          for i, j in ((0.0, 1), (True, 0))],
+    ]
+])
+def test_entry_refuses_an_index_outside_range_n(matrix, i, j, error, message):
+    # SymmetricMatrix.entry(-1, 0) read the last row, and SkewMatrix.entry
+    # gave 0 at (0, 7) and (-1, 1) of an n = 2 matrix, 5 at (0.0, 1) and -5
+    # at (True, 0).
+    with pytest.raises(error) as info:
+        matrix.entry(i, j)
+    assert str(info.value) == message
+
+
+_ROW_ENTRY_POINTS = [SymmetricMatrix, TransitionMatrix, det_rational]
 
 
 @pytest.mark.parametrize("make", _ROW_ENTRY_POINTS)
@@ -174,24 +180,9 @@ def test_congruence_sym_examples():
     )
 
 
-def test_congruence_skew_examples():
-    zero = SkewMatrix.zero(3)
-    s = random_invertible(random.Random(5), 3)
-    assert congruence_skew(zero, s) == zero
-
-    l = SkewMatrix(2, {Var(1, 2): 1})
-    assert congruence_skew(l, TransitionMatrix.diagonal([2, 3])).upper == {
-        Var(1, 2): Fraction(6)
-    }
-    swap = TransitionMatrix([[0, 1], [1, 0]])
-    assert congruence_skew(l, swap).upper == {Var(1, 2): Fraction(-1)}
-
-
 def test_congruence_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         congruence_sym(SymmetricMatrix.identity(2), TransitionMatrix.identity(3))
-    with pytest.raises(DimensionMismatch):
-        congruence_skew(SkewMatrix.zero(3), TransitionMatrix.identity(2))
 
 
 def test_lagrange_already_diagonal():
@@ -357,20 +348,6 @@ def test_det_congruence_scaling(n):
         a = random_symmetric(rng, n)
         s = random_invertible(rng, n)
         assert congruence_sym(a, s).det() == s.det ** 2 * a.det()
-
-
-def test_congruence_skew_stays_skew():
-    rng = random.Random(7)
-    for n in (2, 3, 4, 5):
-        for _ in range(5):
-            l = random_skew(n, rng.randint(0, 10**6), 5)
-            s = random_invertible(rng, n)
-            out = congruence_skew(l, s)
-            rows = out.full_rows()
-            for i in range(n):
-                assert rows[i][i] == 0
-                for j in range(n):
-                    assert rows[i][j] == -rows[j][i]
 
 
 def test_random_skew_determinism():
