@@ -8,14 +8,12 @@ witnesses for everything else.
 """
 
 from .analyzer import (
-    AnisotropicForm,
     ClassificationReport,
     NotIndefinite,
     PredictedSign,
     ProbeReport,
     Verdict,
     Witness,
-    WitnessSearchExhausted,
     classify,
     sign_probe,
     witness_indefinite,
@@ -51,7 +49,6 @@ from .polynomials import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnisotropicForm",
     "Certificate",
     "ClassificationReport",
     "DEFAULT_MAX_DIM",
@@ -71,7 +68,6 @@ __all__ = [
     "Var",
     "Verdict",
     "Witness",
-    "WitnessSearchExhausted",
     "certify_positive",
     "classify",
     "congruence_sym",

@@ -17,8 +17,8 @@ decide that exactly (Serre, A Course in Arithmetic, ch. III-IV): the search
 then stops with a proof naming the least such prime.  Otherwise it combines
 perfect-square tests over congruence diagonalizations with a bounded integer
 enumeration and reports exhaustion honestly instead of returning an
-approximate witness; classify then still gives the exact verdict and both
-strict-sign witnesses.
+approximate witness.  Either way the witness is returned with no zero
+matrix, the reason in anisotropic_at, and both strict-sign witnesses.
 
 The strict-sign witnesses are read off one diagonalization S^T A S = D.
 For a nondegenerate form it also gives the inverse, S^-T = A S D^-1, so the
@@ -59,35 +59,6 @@ class NotIndefinite(ValueError):
     """Witness construction applies only to nondegenerate mixed-signature forms."""
 
 
-class WitnessSearchExhausted(RuntimeError):
-    """No exact rational zero of det(A - L) was found within the search budget.
-
-    `witness` carries the exact strict-sign witnesses, with lambda_zero None.
-    Neither the existence nor the absence of a zero was proved.
-    """
-
-    def __init__(self, witness: Witness) -> None:
-        super().__init__(
-            "no rational skew matrix with det(A - L) = 0 found within the "
-            "search budget, and none was proved not to exist")
-        self.witness = witness
-
-
-class AnisotropicForm(RuntimeError):
-    """No rational zero of det(A - L) exists: the form is anisotropic over Q_p.
-
-    `witness` carries the exact strict-sign witnesses, with lambda_zero None
-    and anisotropic_at the least such prime p, also given as `prime`.
-    """
-
-    def __init__(self, witness: Witness) -> None:
-        super().__init__(
-            "no rational skew matrix with det(A - L) = 0 exists: the form is "
-            f"anisotropic at p = {witness.anisotropic_at}")
-        self.witness = witness
-        self.prime = witness.anisotropic_at
-
-
 class Verdict(str, Enum):
     POSITIVE_DEFINITE = "PositiveDefinite"
     NEGATIVE_DEFINITE = "NegativeDefinite"
@@ -105,9 +76,9 @@ class Witness(NamedTuple):
     """Skew matrices pinning down the sign behaviour of det(A - L).
 
     lambda_zero satisfies det(A - lambda_zero) = 0 exactly; it is None only
-    when classify found no rational zero.  anisotropic_at is then the least
-    prime p at which the form was proved anisotropic, so that no zero exists,
-    or None when the search budget ran out.  For indefinite forms
+    when witness_indefinite found no rational zero.  anisotropic_at is then
+    the least prime p at which the form was proved anisotropic, so that no
+    zero exists, or None when the search budget ran out.  For indefinite forms
     lambda_plus and lambda_minus carry the two strict signs; for degenerate
     forms only the zero witness is populated (the zero matrix itself, since
     det(A) = 0).
@@ -432,10 +403,11 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     The zero witness (Ax x^T - x (Ax)^T) / (x^T x) comes from a rational
     isotropic vector x.  Both take integer dot products with c A.  When neither
     a zero a_ii nor a pair of D gives one and n <= 4, Hilbert symbols decide
-    whether one exists: raises AnisotropicForm, carrying the strict-sign
-    witnesses and the least prime at which none exists.  Otherwise the
-    search goes on, and raises WitnessSearchExhausted, carrying the
-    strict-sign witnesses, when it finds none within its budget.
+    whether one exists; when none does, the witness has lambda_zero None
+    and anisotropic_at the least prime at which none exists.  Otherwise the
+    search goes on, and when it finds none within its budget the witness
+    has lambda_zero and anisotropic_at None.  The strict-sign witnesses are
+    there in all three outcomes.
     """
     s, d = lagrange_diagonalize(a)
     n = a.n
@@ -474,10 +446,10 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     if x is None:
         p = _anisotropic_prime(diag2) if n <= 4 else None
         if p is not None:
-            raise AnisotropicForm(Witness(None, None, *signs, anisotropic_at=p))
+            return Witness(None, None, *signs, anisotropic_at=p)
         x = _searched_isotropic(a, int_a)
         if x is None:
-            raise WitnessSearchExhausted(Witness(None, None, *signs))
+            return Witness(None, None, *signs)
     # x is in the kernel of A - L, so det(A - L) = 0; scaling x changes nothing.
     lam_zero = _wedge([sum(map(mul, row, x)) for row in int_a], x, 1,
                       c * sum(v * v for v in x))
@@ -512,12 +484,8 @@ def classify(a: SymmetricMatrix) -> ClassificationReport:
         predicted = (PredictedSign.ALWAYS_POSITIVE if n % 2 == 0
                      else PredictedSign.ALWAYS_NEGATIVE)
         return ClassificationReport(Verdict.NEGATIVE_DEFINITE, sig, predicted)
-    try:
-        witness = witness_indefinite(a)
-    except (AnisotropicForm, WitnessSearchExhausted) as exc:
-        witness = exc.witness
     return ClassificationReport(
-        Verdict.INDEFINITE, sig, PredictedSign.NOT_SIGN_DEFINITE, witness)
+        Verdict.INDEFINITE, sig, PredictedSign.NOT_SIGN_DEFINITE, witness_indefinite(a))
 
 
 def sign_probe(a: SymmetricMatrix, trials: int, seed: int = 0,

@@ -22,7 +22,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .analyzer import AnisotropicForm, WitnessSearchExhausted, classify, sign_probe
+from .analyzer import classify, sign_probe
 from .engine import (
     DEFAULT_MAX_DIM,
     ExpansionTooLarge,
@@ -78,11 +78,14 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             f"form is {report.verdict.value}: det(A - L) is sign-definite, "
             "no sign-change witness exists")
     w = report.witness
-    if w.lambda_zero is None:  # the refusal line of the exception classify caught
-        proved = w.anisotropic_at is not None
-        print(f"error: {AnisotropicForm(w) if proved else WitnessSearchExhausted(w)}",
-              file=sys.stderr)
-        return 4 if proved else 1
+    if w.lambda_zero is None:
+        if w.anisotropic_at is None:
+            print("error: no rational skew matrix with det(A - L) = 0 found within the "
+                  "search budget, and none was proved not to exist", file=sys.stderr)
+            return 1
+        print("error: no rational skew matrix with det(A - L) = 0 exists: the form is "
+              f"anisotropic at p = {w.anisotropic_at}", file=sys.stderr)
+        return 4
     print(report.to_text(), end="")
     return 0
 

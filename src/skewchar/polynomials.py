@@ -127,9 +127,10 @@ def _shown(token: str, quote: bool = True) -> str:
 
 
 def _as_fraction(value: Scalar) -> Fraction:
+    """value as a Fraction if it is an int (not a bool) or a Fraction; else TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 

@@ -17,7 +17,6 @@ from generators import (
 )
 from oracles import cofactor_det, crosscheck_classification, skew_rows
 from skewchar import (
-    AnisotropicForm,
     ClassificationReport,
     NotIndefinite,
     PredictedSign,
@@ -29,7 +28,6 @@ from skewchar import (
     Var,
     Verdict,
     Witness,
-    WitnessSearchExhausted,
     classify,
     congruence_sym,
     eval_skewchar,
@@ -269,15 +267,15 @@ def test_witness_search_exhaustion_is_honest():
     # rational zero exists, whatever the budget: that is proved, and the
     # least prime is named.
     for diag in ([1, -2], [1, 1, -3, -3]):
-        with pytest.raises(AnisotropicForm) as info:
-            witness_indefinite(SymmetricMatrix.diagonal(diag))
-        assert info.value.prime == info.value.witness.anisotropic_at == 2
+        w = witness_indefinite(SymmetricMatrix.diagonal(diag))
+        assert w.lambda_zero is None and w.value_zero is None
+        assert w.anisotropic_at == 2
     # 10007 * 10039 has no prime factor below the trial division bound, and
     # the form is isotropic at 2 and at every prime below it: the local test
     # does not decide, and only the budget runs out.
-    with pytest.raises(WitnessSearchExhausted) as info:
-        witness_indefinite(SymmetricMatrix.diagonal([1, 1, -10007 * 10039]))
-    assert info.value.witness.anisotropic_at is None
+    w = witness_indefinite(SymmetricMatrix.diagonal([1, 1, -10007 * 10039]))
+    assert w.lambda_zero is None and w.value_zero is None
+    assert w.anisotropic_at is None
 
 
 # 100000007 and 200000033 are primes past the trial division bound; a

@@ -15,9 +15,7 @@ import pytest
 
 from generators import random_unimodular
 from skewchar import (
-    AnisotropicForm,
     SymmetricMatrix,
-    WitnessSearchExhausted,
     classify,
     congruence_sym,
     eval_skewchar,
@@ -114,9 +112,8 @@ def test_anisotropic_only_at_2():
     diag = [1, 1, 1, -7]
     assert _anisotropic_prime([Fraction(d) for d in diag]) == 2
     assert all(_locally_isotropic(diag, p) for p in (3, 5, 7, 11, 13))
-    with pytest.raises(AnisotropicForm) as info:
-        witness_indefinite(SymmetricMatrix.diagonal(diag))
-    assert info.value.prime == 2
+    w = witness_indefinite(SymmetricMatrix.diagonal(diag))
+    assert w.lambda_zero is None and w.anisotropic_at == 2
 
 
 def test_binary_form_least_prime_need_not_divide_the_entries():
@@ -133,11 +130,9 @@ def test_scrambled_sum_of_two_squares_forms_are_proved_anisotropic(p):
     for _ in range(5):
         a = congruence_sym(SymmetricMatrix.diagonal([1, 1, -p, -p]),
                            random_unimodular(rng, 4, shears=4))
-        with pytest.raises(AnisotropicForm) as info:
-            witness_indefinite(a)
-        assert info.value.prime == 2
-        w = classify(a).witness
+        w = witness_indefinite(a)
         assert w.lambda_zero is None and w.anisotropic_at == 2
+        assert classify(a).witness == w
         assert eval_skewchar(a, w.lambda_plus) == w.value_plus > 0
         assert eval_skewchar(a, w.lambda_minus) == w.value_minus < 0
 
@@ -147,8 +142,8 @@ def test_rational_denominators_keep_the_square_class():
     # which fails mod 4.
     half = [Fraction(1, 2), Fraction(1, 2), Fraction(-3, 2)]
     assert _anisotropic_prime(half) == 2
-    with pytest.raises(AnisotropicForm):
-        witness_indefinite(SymmetricMatrix.diagonal(half))
+    w = witness_indefinite(SymmetricMatrix.diagonal(half))
+    assert w.lambda_zero is None and w.anisotropic_at == 2
     # 1/2 + 1/3 = 5/6: isotropic, with no pair of the diagonal giving a zero,
     # so the local test passes the form on and the search finds the zero.
     sixths = [Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6)]
@@ -166,8 +161,8 @@ def test_unfactored_entry_skips_the_local_test():
     assert _anisotropic_prime([Fraction(d) for d in diag]) is None
     assert [p for p in (*_small_primes(), 10007, 10039)
             if not _locally_isotropic(diag, p)] == [10007, 10039]
-    with pytest.raises(WitnessSearchExhausted):
-        witness_indefinite(SymmetricMatrix.diagonal(diag))
+    w = witness_indefinite(SymmetricMatrix.diagonal(diag))
+    assert w.lambda_zero is None and w.anisotropic_at is None
     # 2 and the small primes are still tested: 10007 * 10009 = 7 mod 8 is
     # not a sum of two squares in Q_2.
     assert _anisotropic_prime([Fraction(d) for d in (1, 1, -10007 * 10009)]) == 2

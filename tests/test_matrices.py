@@ -18,7 +18,7 @@ from generators import (
     random_zero_diagonal,
     scrambled_positive_definite,
 )
-from oracles import cofactor_det, lagrange_reference, signature_by_charpoly
+from oracles import _product, cofactor_det, lagrange_reference, signature_by_charpoly
 from skewchar import (
     DimensionMismatch,
     MatrixParseError,
@@ -27,8 +27,11 @@ from skewchar import (
     SymmetricMatrix,
     TransitionMatrix,
     Var,
+    Verdict,
+    classify,
     congruence_sym,
     det_rational,
+    expand_skewchar,
     lagrange_diagonalize,
     random_skew,
     signature,
@@ -158,6 +161,28 @@ def test_skew_constructor_refuses_a_float():
         SkewMatrix(2, {Var(1, 2): 0.5})
 
 
+# bool is an int subclass, but an entry that is a bool is refused, as entry
+# and Var refuse a bool index; True and False used to read as 1 and 0.
+@pytest.mark.parametrize("make", _ROW_ENTRY_POINTS)
+def test_entry_points_refuse_a_bool(make):
+    with pytest.raises(TypeError, match="^expected an int or Fraction, got bool$"):
+        make([[True, 0], [0, True]])
+
+
+def test_skew_constructor_refuses_a_bool():
+    for value in (True, False):
+        with pytest.raises(TypeError, match="^expected an int or Fraction, got bool$"):
+            SkewMatrix(2, {Var(1, 2): value})
+
+
+def test_skew_constructor_refuses_a_key_that_is_not_a_var_of_dimension_n():
+    # A Var equals its index tuple, but a bare tuple is not taken as one.
+    with pytest.raises(TypeError, match="^upper-triangle keys must be Var instances$"):
+        SkewMatrix(2, {(1, 2): 1})
+    with pytest.raises(ValueError, match="^l1_3 out of range for dimension 2$"):
+        SkewMatrix(2, {Var(1, 3): 1})
+
+
 # det_rational has its own test of these shapes.
 @pytest.mark.parametrize("make", _ROW_ENTRY_POINTS[:-1])
 @pytest.mark.parametrize("rows", [[], [[1, 2]], [[1, 2], [3]], [[1], [2]], [[0, 1], [-1]]])
@@ -275,6 +300,22 @@ def test_lagrange_integer_basis_per_elimination_feature(rows, feature):
         s, _ = lagrange_diagonalize(a)
         assert s.columns[1] == (2, (1, 2, 0))
 
+
+def test_lagrange_fold_then_swap():
+    # The diagonal is zero and the first nonzero pair is (1, 2), 0-based, so
+    # the fold e_1 += e_2 makes the pivot in place 1, which a swap moves to 0.
+    a = SymmetricMatrix([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    _, ops = _congruence_pivots(a)
+    assert ops[:2] == (("add", 1, 2, 1, 1), ("swap", 0, 1))
+    _assert_matches_reference(a)
+    s, d = lagrange_diagonalize(a)
+    assert d == (2, Fraction(-1, 2), 0)
+    st = [list(col) for col in zip(*s.rows)]
+    assert _product(_product(st, a.rows), s.rows) == [
+        [2, 0, 0], [0, Fraction(-1, 2), 0], [0, 0, 0]]
+    assert signature(a) == (1, 1, 1)
+    assert classify(a).verdict is Verdict.DEGENERATE
+    assert str(expand_skewchar(a)) == "-2*l1_2*l1_3"
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_transition_equality_reads_columns(n):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import Poly, lam
-from skewchar import MissingVariable, MultiPoly, Var
+from skewchar import MissingVariable, MultiPoly, SymmetricMatrix, Var, expand_skewchar
 from skewchar.polynomials import packed_fields
 
 ONE = Poly({(): 1})
@@ -326,6 +326,16 @@ def test_packed_polynomials_print_and_behave_like_var_built_ones():
         assert len(p) == len(q) == sum(1 for c in packed.values() if c)
         assert p == q and q == p
 
+
+def test_multipoly_equality_and_hash_between_library_polynomials():
+    # Two expansions of one form, built apart, are equal and hash alike;
+    # another form's expansion differs.
+    p = expand_skewchar(SymmetricMatrix.identity(3))
+    q = expand_skewchar(SymmetricMatrix.from_text("3\n1 0 0\n0 1 0\n0 0 1\n"))
+    r = expand_skewchar(SymmetricMatrix.diagonal([1, 2, 3]))
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert p != r and r != q
+    assert len({p, q, r}) == 2
 
 def test_packed_length_and_text_leave_var_terms_unbuilt():
     p = MultiPoly._from_packed(
