@@ -13,18 +13,23 @@ over even index subsets U of (prod of d_i outside U) times Pf(M[U])^2,
 whatever the signs of the d_i.
 
 The sum runs on packed integer polynomials: a dict from packed monomial
-(polynomials module docstring) to int coefficient.  S is scaled to integers once, and
-every even subset's Pfaffian is built once from those of its minors (Rote,
-LNCS 2122, 2001).  Two bits are exact: Pf(B^T L B) = sum_J det B[J, U] Pf(L[J])
-and each Pf(L[J]) is a signed sum of perfect matchings, so every root is
-multilinear and no product has an exponent above 2.  The expansion and each
-certificate root stay packed (MultiPoly._from_packed), so printing builds no
-Var term or Fraction; the sampled check of a certificate does.  On a
-dense rational form, expansion takes about 0.05 s at n=7 (9,467 terms) and
-0.6 s at n=8 (94,088 terms); printing the result takes another 0.07 s and
-0.4 to 0.7 s (one core of a shared 2-core x86-64 machine, Python 3.11).
-DEFAULT_MAX_DIM stays 7 all the same: certify_positive at n=8 takes about
-19 s, nearly all of it in the Fraction evaluations of its sampled check.
+(polynomials module docstring) to int coefficient.  S and diag(d) are each
+scaled to integers once, and every even subset's Pfaffian is built once from
+those of its minors (Rote, LNCS 2122, 2001).  Two bits are exact:
+Pf(B^T L B) = sum_J det B[J, U] Pf(L[J]) and each Pf(L[J]) is a signed sum of
+perfect matchings, so every root is multilinear and no product has an
+exponent above 2.  Each weight is an int over a power of the diagonal's
+scale, so expansion builds no Fraction from d to the printed text: the result
+and each certificate root stay packed (MultiPoly._from_packed), and printing
+builds no Var term or Fraction either.  certify_positive makes one Fraction
+per weight, the weight it prints; its sampled check evaluates in Fractions.
+On the dense rational forms random_symmetric(random.Random(817), 7) and
+random_symmetric(random.Random(808), 8) of tests/generators.py, expansion
+takes about 0.025 s (9,467 terms) and 0.42 s (94,088 terms), and printing
+the result another 0.022 s and 0.27 s (best of 5 runs, one core of a shared
+2-core x86-64 machine, Python 3.11).  DEFAULT_MAX_DIM stays 7 all the same:
+certify_positive at n=8 takes about 12 s (random_positive_definite, seed
+808), nearly all of it in the Fraction evaluations of its sampled check.
 """
 
 from __future__ import annotations
@@ -104,17 +109,22 @@ class Certificate(NamedTuple):
 
 
 def _packed_pfaffians(columns: Sequence[tuple[int, Sequence[int]]], diag: Sequence[Fraction]):
-    """The terms (weight, |U|, Pf(M_int[U])) of det(diag(d) - M), and the scale s.
+    """The terms (weight, |U|, Pf(M_int[U])) of det(diag(d) - M), the scale s
+    and the diagonal scale big.
 
     S = S_int / s, s the lcm of the q of its columns (q, ints), so M = S^T L S
     = M_int / s^2 and Pf(M[U]) = Pf(M_int[U]) / s^|U|.  Every even subset's
     Pfaffian is built once, bottom-up by size, from the stored ones two smaller:
     Pf(U) = sum_k (-1)^k m_{u1,uk} Pf(U minus {u1, uk}).  One term per even
-    subset U, in order of size and then lexicographically; the weight is the
-    product of the d_i outside U, and a subset of zero weight gets no term.
+    subset U, in order of size and then lexicographically.  big is the lcm of
+    the denominators of the d_i and e_i = big d_i an int; the weight is the
+    int product of the e_i outside U, so the product of the d_i outside U is
+    weight / big^(n - |U|).  A subset of zero weight gets no term.
     """
     n = len(columns)
     scale, col = _scaled_matrix(columns)
+    big = lcm(*(x.denominator for x in diag))
+    e = [x.numerator * (big // x.denominator) for x in diag]
     fields = packed_fields(n)
     # m_int(u, v) is linear: (field bit of l_km, coefficient) per variable.
     linear = {
@@ -138,31 +148,36 @@ def _packed_pfaffians(columns: Sequence[tuple[int, Sequence[int]]], diag: Sequen
                             key = mono + bit
                             acc[key] = acc.get(key, 0) + c * cm
                 pf[mask] = {m: c for m, c in acc.items() if c}
-            weight = prod((diag[i] for i in range(n) if not mask >> i & 1),
-                          start=Fraction(1))
+            weight = prod(e[i] for i in range(n) if not mask >> i & 1)
             if weight:
                 terms.append((weight, size, pf[mask]))
-    return terms, scale
+    return terms, scale, big
 
 
-def _square_sum(n: int, terms, scale: int) -> MultiPoly:
-    """Sum of weight * (root / scale^|U|)^2 over one common denominator K.
+def _square_sum(n: int, terms, scale: int, big: int) -> MultiPoly:
+    """Sum of weight / big^(n-|U|) * (root / scale^|U|)^2 over one common
+    denominator K.
 
     Each root is first divided by the gcd g of its coefficients (g^2 goes
     into its factor): scaling S to integers can leave roots with a content
-    of hundreds of bits that P's coefficients do not have.  Each square runs
-    over the pairs a <= b of the root's terms, cross terms doubled.
+    of hundreds of bits that P's coefficients do not have.  For the same
+    reason each factor num / den is reduced by one gcd before K, the lcm of
+    the reduced dens, is taken, rather than summing over the unreduced
+    big^n * scale^(2n).  Each square runs over the pairs a <= b of the
+    root's terms, cross terms doubled.
     """
     factors = []
     for w, size, root in terms:
         g = gcd(*root.values()) or 1
-        factors.append((w * g * g / scale ** (2 * size),
-                        [(m, c // g) for m, c in root.items()]))
-    k = lcm(*(f.denominator for f, _ in factors))
+        num = w * g * g
+        den = big ** (n - size) * scale ** (2 * size)
+        h = gcd(num, den)
+        factors.append((num // h, den // h, [(m, c // g) for m, c in root.items()]))
+    k = lcm(*(den for _, den, _ in factors))
     acc: dict[int, int] = {}
     get = acc.get
-    for f, items in factors:
-        c = f.numerator * (k // f.denominator)
+    for num, den, items in factors:
+        c = num * (k // den)
         for a, (ma, ca) in enumerate(items):
             acc[ma + ma] = get(ma + ma, 0) + c * ca * ca
             cc = 2 * c * ca
@@ -199,9 +214,10 @@ def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Cert
         raise NotPositiveDefinite(
             f"diagonalized form has non-positive entries {tuple(map(str, d))}")
 
-    terms, scale = _packed_pfaffians(s.columns, d)
+    terms, scale, big = _packed_pfaffians(s.columns, d)
     cert = Certificate(n=n, terms=tuple(
-        (w, MultiPoly._from_packed(n, root, scale ** size)) for w, size, root in terms))
+        (Fraction(w, big ** (n - size)), MultiPoly._from_packed(n, root, scale ** size))
+        for w, size, root in terms))
     for k in range(1, _CERT_CHECK_SAMPLES + 1):
         probe = random_skew(n, _CERT_CHECK_SEED + k, 10)
         if cert.evaluate(probe) != eval_skewchar(a, probe):

@@ -161,7 +161,7 @@ def test_criterion_9_pfaffian_identity():
         # polynomial; evaluated at L and squared, it is det L.
         pf = {}
         for n in (2, 4, 6, 8):
-            [(_, _, root)], _ = _packed_pfaffians(
+            [(_, _, root)], _, _ = _packed_pfaffians(
                 [(1, [int(p == u) for p in range(n)]) for u in range(n)], [0] * n)
             pf[n] = MultiPoly._from_packed(n, root, 1)
         rng = random.Random(90_001)

@@ -634,6 +634,40 @@ def test_huge_literal_is_input_error(tmp_path, capsys, argv_text):
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
+# diag(10^2999, 10^2999) reads without error, but det A = 10^5998 has 5999
+# digits: printing it trips the limit, and the command prints nothing.
+_HUGE_RESULT_FORM = f"2\n1{'0' * 2999} 0\n0 1{'0' * 2999}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int string-length limit")
+@pytest.mark.parametrize("cmd", ["expand", "certify", "eval"])
+def test_result_past_the_int_string_limit_is_refused(tmp_path, capsys, cmd):
+    path = tmp_path / "huge_result.txt"
+    path.write_text(_HUGE_RESULT_FORM, encoding="utf-8")
+    skew = tmp_path / "empty_skew.txt"
+    skew.write_text("2\n", encoding="utf-8")
+    argv = [cmd, str(path)] + ([str(skew)] if cmd == "eval" else [])
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    # Python 3.10 words it "Exceeds the limit (4300) for ...".
+    assert err.startswith("error: Exceeds the limit (4300")
+    assert "for integer string conversion" in err
+    assert run(capsys, ["classify", str(path)])[0] == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int string-length limit")
+def test_result_past_the_int_string_limit_prints_with_the_limit_lifted(tmp_path):
+    path = tmp_path / "huge_result.txt"
+    path.write_text(_HUGE_RESULT_FORM, encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "skewchar", "expand", str(path)],
+                          env=dict(_SRC_ENV, PYTHONINTMAXSTRDIGITS="0"),
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"1{'0' * 5998} + l1_2^2\n", "")
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="interpreter has no int string-length limit")
 def test_huge_skew_value_is_input_error(files, tmp_path, capsys):

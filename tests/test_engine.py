@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -83,13 +84,25 @@ def zero_diagonal(a: SymmetricMatrix) -> SymmetricMatrix:
                             for i in range(a.n)])
 
 
+def large_denominators(rng: random.Random, n: int) -> SymmetricMatrix:
+    """Entries +-p/9973 and +-p/9967 (1 <= p <= 9): d and S both carry large
+    coprime denominators, so the kernel's diagonal scale and scale are large."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                               (9973, 9967)[(i + j) % 2])
+    return SymmetricMatrix(rows)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_expand_matches_cofactor_oracle(n):
-    # Besides random forms: zero and negative d_i (singular, indefinite, zero)
-    # and the pairing pivots of a zero diagonal.
+    # Besides random forms: zero and negative d_i (singular, indefinite, zero),
+    # the pairing pivots of a zero diagonal and large coprime denominators.
     rng = random.Random(600 + n)
     forms = [random_symmetric(rng, n) for _ in range(8)]
-    forms += [SymmetricMatrix.zero(n), zero_diagonal(random_symmetric(rng, n))]
+    forms += [SymmetricMatrix.zero(n), zero_diagonal(random_symmetric(rng, n)),
+              large_denominators(rng, n)]
     if n >= 2:  # both generators scramble with a shear between two indices
         forms += [random_singular(rng, n), random_indefinite(rng, n)]
     for a in forms:
@@ -113,13 +126,38 @@ def test_packed_roots_are_multilinear(n):
     # field of the kernel holds at most 1 and a square at most 2: no carry.
     a = random_symmetric(random.Random(800 + n), n)
     s, d = lagrange_diagonalize(a)
-    terms, _ = _packed_pfaffians(s.columns, d)
+    terms, _, _ = _packed_pfaffians(s.columns, d)
     assert len(terms) == 2 ** (n - 1)
     for _, size, root in terms:
         assert root
         for mono in _unpack(n, root, 1):
             assert all(e == 1 for _, e in mono)
             assert len(mono) == size // 2
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_packed_weights_are_ints_over_a_power_of_the_diagonal_scale(n):
+    # weight / big^(n - |U|) is the product of the d_i outside U; the terms
+    # come in the order of the even subsets, those of zero product left out.
+    rng = random.Random(700 + n)
+    large = large_denominators(rng, n)
+    forms = [random_symmetric(rng, n), SymmetricMatrix.zero(n), large]
+    if n >= 2:
+        forms += [random_singular(rng, n), random_indefinite(rng, n)]
+    for a in forms:
+        s, d = lagrange_diagonalize(a)
+        terms, scale, big = _packed_pfaffians(s.columns, d)
+        if a is large:
+            assert big > 9966 and (n == 1 or scale > 9966)
+        expected = []
+        for size in range(0, n + 1, 2):
+            for subset in itertools.combinations(range(n), size):
+                product = math.prod((d[i] for i in range(n) if i not in subset),
+                                    start=Fraction(1))
+                if product:
+                    expected.append((product, size))
+        assert [(Fraction(w, big ** (n - size)), size) for w, size, _ in terms] == expected
+        assert all(type(w) is int for w, _, _ in terms)
 
 
 def test_expand_n7_agrees_with_eval():
@@ -312,7 +350,7 @@ def kernel_root(k: int) -> dict:
     With every weight 0 only the full index set keeps a term, and an odd one
     none, as its Pfaffian is 0.
     """
-    terms, _ = _packed_pfaffians(
+    terms, _, _ = _packed_pfaffians(
         [(1, [int(p == u) for p in range(k)]) for u in range(k)], [0] * k)
     return next((root for _, _, root in terms), {})
 
