@@ -72,7 +72,7 @@ def eval_skewchar(a: SymmetricMatrix, l: SkewMatrix) -> Fraction:
     they go to it as stored; no Fraction is built per entry.
     """
     if a.n != l.n:
-        raise DimensionMismatch(f"form has n={a.n}, skew matrix has n={l.n}")
+        raise DimensionMismatch(f"dimension mismatch: form has n={a.n}, skew has n={l.n}")
     return _scaled_det(a.int_rows, l.entries)
 
 
@@ -93,11 +93,10 @@ class Certificate(NamedTuple):
         if l.n != self.n:
             raise DimensionMismatch(
                 f"certificate has n={self.n}, skew matrix has n={l.n}")
-        assignment = {
-            Var(i, j): l.entry(i - 1, j - 1)
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-        }
+        # Each variable of l.upper at its value, every other one at 0.
+        assignment = dict.fromkeys([Var(i, j) for i in range(1, self.n + 1)
+                                    for j in range(i + 1, self.n + 1)], Fraction(0))
+        assignment.update(l.upper)
         return sum((w * r.evaluate(assignment) ** 2 for w, r in self.terms), Fraction(0))
 
     def to_text(self) -> str:
@@ -212,7 +211,8 @@ def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Cert
     s, d = lagrange_diagonalize(a)
     if any(x <= 0 for x in d):
         raise NotPositiveDefinite(
-            f"diagonalized form has non-positive entries {tuple(map(str, d))}")
+            "not positive definite: diagonalized form has non-positive entries "
+            f"{tuple(map(str, d))}")
 
     terms, scale, big = _packed_pfaffians(s.columns, d)
     cert = Certificate(n=n, terms=tuple(

@@ -6,10 +6,13 @@ analyzer alike, goes through one integer kernel, _scaled_det, and the two
 matrix classes store its input.  SymmetricMatrix.int_rows holds row a_i as
 (c_i, c_i * a_i), c_i the lcm of its denominators, the second an int tuple.
 SkewMatrix.entries holds each nonzero l_ij = p/q, i < j, as (i, j, p, q),
-0-based, p/q reduced, sorted.  Both are canonical, so == and hash read them;
-the Fraction views rows and upper are built on first use.  A constructor
-converts each value once; -L, random_skew and the skew reader build entries
-directly and skip the validating constructor.  The kernel has two stages.
+0-based, p/q reduced, sorted.  Both are canonical, so == and hash read them.
+Each class stores that one form: the Fraction views rows and upper are built
+from it on each read and not kept, and entry reads the stored ints.  The one
+cache is SymmetricMatrix._pivots, a computed result (_congruence_pivots), not
+a copy of the matrix.  A constructor converts each value once; -L,
+random_skew and the skew reader build entries directly and skip the
+validating constructor.  The kernel has two stages.
 _kernel_matrix folds L into the stored rows: one pass over L collects each
 row's denominators, row i is scaled to c = lcm(c_i, q of each entry in
 row i), and each entry of L is subtracted or added into its two slots.
@@ -250,16 +253,17 @@ class Signature(NamedTuple):
 class SymmetricMatrix:
     """An exact symmetric matrix; symmetry is enforced at construction.
 
-    It stores int_rows (module docstring); rows is a view built on first use.
+    It stores int_rows (module docstring); rows is a Fraction view of them,
+    built on each read, and entry reads them.  _pivots, the one cache, keeps
+    the result of _congruence_pivots, not a copy of the matrix, so classify
+    eliminates once for both the signature and S.
     """
 
-    __slots__ = ("n", "int_rows", "_rows", "_pivots")
+    __slots__ = ("n", "int_rows", "_pivots")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]) -> None:
-        frows = _square_rows(rows)
-        self._store(tuple([tuple([x.as_integer_ratio() for x in row]) for row in frows]),
-                    ValueError)
-        self._rows = frows
+        self._store(tuple([tuple([x.as_integer_ratio() for x in row])
+                           for row in _square_rows(rows)]), ValueError)
 
     def _store(self, pairs: tuple[tuple[tuple[int, int], ...], ...],
                error: type[ValueError]) -> None:
@@ -270,15 +274,12 @@ class SymmetricMatrix:
                         if pairs[i][j] != pairs[j][i])
             raise error(f"not symmetric at ({i + 1}, {j + 1})")
         self.n, self.int_rows = n, tuple([_kernel_row(row) for row in pairs])
-        self._rows = self._pivots = None
+        self._pivots = None
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fractions: a view of int_rows, built once."""
-        if self._rows is None:
-            self._rows = tuple([tuple([Fraction(x, c) for x in ints])
-                                for c, ints in self.int_rows])
-        return self._rows
+        """The entries as Fractions, built from int_rows on each read."""
+        return tuple([tuple([Fraction(x, c) for x in ints]) for c, ints in self.int_rows])
 
     @classmethod
     def identity(cls, n: int) -> "SymmetricMatrix":
@@ -296,7 +297,8 @@ class SymmetricMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         """0-based entry; an index that is not an int in range(n) is refused."""
         _check_index(self.n, i, j)
-        return self.rows[i][j]
+        c, ints = self.int_rows[i]
+        return Fraction(ints[j], c)
 
     def det(self) -> Fraction:
         return _scaled_det(self.int_rows, ())
@@ -304,7 +306,7 @@ class SymmetricMatrix:
     def __neg__(self) -> "SymmetricMatrix":
         # Each c_i stays the lcm of its row's denominators: canonical as it is.
         neg = object.__new__(SymmetricMatrix)
-        neg.n, neg._rows, neg._pivots = self.n, None, None
+        neg.n, neg._pivots = self.n, None
         neg.int_rows = tuple([(c, tuple([-x for x in ints])) for c, ints in self.int_rows])
         return neg
 
@@ -348,10 +350,11 @@ class SymmetricMatrix:
 class SkewMatrix:
     """An exact skew-symmetric matrix stored by its strict upper triangle.
 
-    It stores entries (module docstring); upper is a view built on first use.
+    It stores entries (module docstring) and keeps no cache; upper is a
+    Fraction view of them, built on each read, and entry reads them.
     """
 
-    __slots__ = ("n", "entries", "_upper")
+    __slots__ = ("n", "entries")
 
     def __init__(self, n: int, upper: dict | Iterable = ()) -> None:
         _int_at_least("dimension", n, 1)
@@ -368,21 +371,18 @@ class SkewMatrix:
         self.n = n
         self.entries = tuple(sorted([(i - 1, j - 1, p, q) for (i, j), (p, q) in pairs.items()
                                      if p]))
-        self._upper = None
 
     @classmethod
     def _trusted(cls, n: int, entries: tuple) -> "SkewMatrix":
         # Trusted path: entries are canonical (reduced, nonzero, sorted, in range).
         l = object.__new__(cls)
-        l.n, l.entries, l._upper = n, entries, None
+        l.n, l.entries = n, entries
         return l
 
     @property
     def upper(self) -> dict[Var, Fraction]:
-        """The nonzero upper entries by variable: a view of entries, built once."""
-        if self._upper is None:
-            self._upper = {Var(i + 1, j + 1): Fraction(p, q) for i, j, p, q in self.entries}
-        return self._upper
+        """The nonzero upper entries by variable, built from entries on each read."""
+        return {Var(i + 1, j + 1): Fraction(p, q) for i, j, p, q in self.entries}
 
     @classmethod
     def zero(cls, n: int) -> "SkewMatrix":
@@ -394,10 +394,9 @@ class SkewMatrix:
         An index that is not an int in range(n) is refused.
         """
         _check_index(self.n, i, j)
-        # upper is keyed by Var, which equals and hashes as its (i, j) tuple.
-        if i <= j:
-            return self.upper.get((i + 1, j + 1), _ZERO)
-        return -self.upper.get((j + 1, i + 1), _ZERO)
+        key, sign = ((i, j), 1) if i <= j else ((j, i), -1)
+        return next((Fraction(sign * p, q) for u, v, p, q in self.entries if (u, v) == key),
+                    _ZERO)
 
     def __neg__(self) -> "SkewMatrix":
         return SkewMatrix._trusted(self.n, tuple([(i, j, -p, q) for i, j, p, q in self.entries]))
@@ -451,35 +450,32 @@ class TransitionMatrix:
     """An invertible exact matrix used for changes of basis.
 
     It stores columns, column k as (q, ints): ints / q in lowest terms, q > 0,
-    row k of S^T in the kernel's form.  Both constructors keep them canonical,
-    so == and hash read them; rows is a view built on first use.
+    row k of S^T in the kernel's form.  Every constructor keeps them
+    canonical, so == and hash read them; rows is a Fraction view of them,
+    built on each read, and no cache is kept.
     """
 
-    __slots__ = ("n", "det", "columns", "_rows")
+    __slots__ = ("n", "det", "columns")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]) -> None:
-        frows = _square_rows(rows)
-        n = len(frows)
-        columns = tuple([_kernel_row([x.as_integer_ratio() for x in c]) for c in zip(*frows)])
+        columns = tuple([_kernel_row([x.as_integer_ratio() for x in c])
+                         for c in zip(*_square_rows(rows))])
         d = _scaled_det(columns, ())  # det S^T = det S
         if d == 0:
             raise ValueError("transition matrix must be invertible")
-        self.n, self.det, self.columns, self._rows = n, d, columns, frows
+        self.n, self.det, self.columns = len(columns), d, columns
 
     @classmethod
     def _unimodular(cls, columns: tuple, det: int) -> "TransitionMatrix":
-        # Trusted path for lagrange_diagonalize: reduced columns, det = +-1 known.
+        # Trusted path: reduced columns, det = +-1 known by construction.
         s = object.__new__(cls)
-        s.n, s.det, s.columns, s._rows = len(columns), Fraction(det), columns, None
+        s.n, s.det, s.columns = len(columns), Fraction(det), columns
         return s
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fractions: a view of columns, built once."""
-        if self._rows is None:
-            self._rows = tuple(zip(*[[Fraction(x, q) for x in ints]
-                                     for q, ints in self.columns]))
-        return self._rows
+        """The entries as Fractions, built from columns on each read."""
+        return tuple(zip(*[[Fraction(x, q) for x in ints] for q, ints in self.columns]))
 
     @classmethod
     def identity(cls, n: int) -> "TransitionMatrix":
@@ -495,14 +491,15 @@ class TransitionMatrix:
         """Matrix P with column k carrying basis vector perm[k] (0-based).
 
         perm must be a rearrangement of range(len(perm)), its entries ints.
+        The unit columns are built as stored and det P is the sign of perm,
+        (-1) to the number of its inversions, so no determinant is computed.
         """
         n = len(perm)
         if sorted([_int_at_least("permutation entry", p, 0) for p in perm]) != list(range(n)):
             raise ValueError(f"{list(perm)} is not a permutation of range({n})")
-        rows = [[0] * n for _ in range(n)]
-        for k, p in enumerate(perm):
-            rows[p][k] = 1
-        return cls(rows)
+        inversions = sum(perm[k] > p for j, p in enumerate(perm) for k in range(j))
+        return cls._unimodular(tuple([(1, tuple([int(i == p) for i in range(n)])) for p in perm]),
+                               (-1) ** inversions)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TransitionMatrix) and self.columns == other.columns
@@ -521,8 +518,8 @@ def congruence_sym(a: SymmetricMatrix, s: TransitionMatrix) -> SymmetricMatrix:
     """The transformed matrix S^T A S of a quadratic form under basis change."""
     if a.n != s.n:
         raise DimensionMismatch(f"form has n={a.n}, transition has n={s.n}")
-    st = list(zip(*s.rows))
-    return SymmetricMatrix(_matmul(_matmul(st, a.rows), s.rows))
+    st = [[Fraction(x, q) for x in ints] for q, ints in s.columns]  # rows of S^T
+    return SymmetricMatrix(_matmul(_matmul(st, a.rows), list(zip(*st))))
 
 
 def _scaled_matrix(rows: Sequence[tuple[int, Sequence[int]]]) -> tuple[int, list[list[int]]]:

@@ -219,7 +219,9 @@ class MultiPoly:
 
     # _packed is the (n, packed dict, den) of _from_packed; _terms maps Var
     # monomials, tuples of (Var, exponent) pairs sorted by variable, to
-    # coefficients, and is built on first read.
+    # coefficients, and is built on first read and kept: the sampled check
+    # of certify_positive evaluates each root at 100 points, and unpacking
+    # on every evaluate made certify 20-30% slower.
     __slots__ = ("_terms", "_packed")
 
     @classmethod

@@ -110,18 +110,19 @@ def test_classify_eliminates_an_indefinite_form_once(monkeypatch, seed):
     ("3\n2 1 -1\n1 0 3\n-1 3 -1/2\n", None),
     ("4\n1 0 1 0\n0 1 0 1\n1 0 -2 0\n0 1 0 -2\n", 2),
 ], ids=["planted_pair", "zero_diagonal_entry", "anisotropic"])
-def test_classify_builds_no_fraction_view_of_a(text, prime):
+def test_classify_builds_no_fraction_view_of_a(monkeypatch, text, prime):
     # Settled by a pair of the diagonalization, a zero a_22 or the local
     # test, so no search runs: the witnesses come from int_rows and the
     # integer columns of S, and A's Fraction rows are never built.
+    def read(self):
+        pytest.fail("SymmetricMatrix.rows was read")
+    monkeypatch.setattr(SymmetricMatrix, "rows", property(read))
     a = SymmetricMatrix.from_text(text)
     w = classify(a).witness
-    assert a._rows is None
     assert w.anisotropic_at == prime
     assert (w.lambda_zero is None) == (prime is not None)
     assert eval_skewchar(a, w.lambda_plus) == w.value_plus > 0
     assert eval_skewchar(a, w.lambda_minus) == w.value_minus < 0
-    assert a._rows is None
 
 
 def test_classify_degenerate():

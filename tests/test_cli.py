@@ -744,6 +744,20 @@ def test_selftest_is_a_usage_error(capsys):
     assert done.stderr.startswith("usage: skewchar ") and "invalid choice" in done.stderr
 
 
+def test_python_m_skewchar_runs_main(files, capsys):
+    # The package's __main__ is the one entry point besides the console
+    # script: it exits with main's code and prints what main prints.
+    def python_m(*argv):
+        done = subprocess.run([sys.executable, "-m", "skewchar", *argv], env=_SRC_ENV,
+                              capture_output=True, text=True)
+        return done.returncode, done.stdout, done.stderr
+
+    assert python_m("classify", files["indef2"]) == run(capsys, ["classify", files["indef2"]])
+    assert python_m("witness", files["aniso2"]) == (
+        4, "", "error: no rational skew matrix with det(A - L) = 0 exists: the form is "
+               "anisotropic at p = 2\n")
+
+
 # What `import skewchar.cli` adds to a fresh interpreter, among the modules a
 # CLI start must not pay for: dataclasses, with inspect, ast, dis, ...
 _CLI_IMPORTS = """

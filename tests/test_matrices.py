@@ -1,5 +1,6 @@
 """Tests for exact matrices, congruence transforms and diagonalization."""
 
+import itertools
 import math
 import random
 import sys
@@ -40,18 +41,26 @@ from skewchar.matrices import (_congruence_pivots, _kernel_matrix, _random_entri
                                _scaled_det)
 
 
-def test_negation_reads_int_rows():
+def _rows_unread(monkeypatch, cls):
+    """Until the context of monkeypatch ends, reading cls.rows fails the test."""
+    def read(self):
+        pytest.fail(f"{cls.__name__}.rows was read")
+    monkeypatch.setattr(cls, "rows", property(read))
+
+
+def test_negation_reads_int_rows(monkeypatch):
     # -a negates each stored int and keeps each c_i: no Fraction view and no
     # validating constructor, yet equal to the matrix the constructor builds.
     rng = random.Random(2323)
     for n in range(1, 31):
         a = random_symmetric(rng, n)
-        neg = -a
-        assert neg._rows is None
         built = SymmetricMatrix([[-x for x in row] for row in a.rows])
-        assert neg == built and hash(neg) == hash(built)
-        assert neg.int_rows == built.int_rows
-        assert -neg == a
+        with monkeypatch.context() as m:
+            _rows_unread(m, SymmetricMatrix)
+            neg = -a
+            assert neg == built and hash(neg) == hash(built)
+            assert neg.int_rows == built.int_rows
+            assert -neg == a
         assert neg.rows == built.rows
 
 
@@ -87,6 +96,18 @@ def test_permutation_refuses_what_is_not_a_rearrangement_of_range_n(perm, error,
     assert str(info.value) == message
     assert TransitionMatrix.permutation((2, 0, 1)).columns == (
         (1, (0, 0, 1)), (1, (1, 0, 0)), (1, (0, 1, 0)))
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(4))),
+                         ids=lambda perm: "".join(map(str, perm)))
+def test_permutation_is_the_matrix_its_rows_build(perm):
+    # permutation builds its unit columns as stored and reads det off the
+    # sign of perm: the same matrix, det included, as the validating
+    # constructor builds from the 0/1 rows.
+    rows = [[int(perm[k] == i) for k in range(4)] for i in range(4)]
+    p, built = TransitionMatrix.permutation(perm), TransitionMatrix(rows)
+    assert (p.columns, p.rows, p.det) == (built.columns, built.rows, built.det)
+    assert p.det == det_rational(rows)
 
 
 def test_skew_constructor_refuses_a_repeated_variable():
@@ -318,15 +339,17 @@ def test_lagrange_fold_then_swap():
     assert str(expand_skewchar(a)) == "-2*l1_2*l1_3"
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_transition_equality_reads_columns(n):
+def test_transition_equality_reads_columns(monkeypatch, n):
     # Both constructors store canonical columns, so == and hash read them and
     # build no Fraction view, and they agree with == on the rows.
     built = []
     for a in _reference_forms(n):
-        s, _ = lagrange_diagonalize(a)
-        t, _ = lagrange_diagonalize(SymmetricMatrix(a.rows))  # no shared _pivots
-        assert s == t and hash(s) == hash(t)
-        assert s._rows is None and t._rows is None
+        b = SymmetricMatrix(a.rows)  # no shared _pivots
+        with monkeypatch.context() as m:
+            _rows_unread(m, TransitionMatrix)
+            s, _ = lagrange_diagonalize(a)
+            t, _ = lagrange_diagonalize(b)
+            assert s == t and hash(s) == hash(t)
         u = TransitionMatrix(s.rows)
         assert u == s and hash(u) == hash(s) and u.columns == s.columns
         built.append(s)
