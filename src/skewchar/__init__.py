@@ -33,7 +33,6 @@ from .matrices import (
     Signature,
     SkewMatrix,
     SymmetricMatrix,
-    TransitionMatrix,
     congruence_sym,
     det_rational,
     lagrange_diagonalize,
@@ -64,7 +63,6 @@ __all__ = [
     "Signature",
     "SkewMatrix",
     "SymmetricMatrix",
-    "TransitionMatrix",
     "Var",
     "Verdict",
     "Witness",

@@ -15,10 +15,11 @@ Hasse-Minkowski such a form is anisotropic over some Q_p, and for n <= 4 a
 few Hilbert symbols at 2 and at the primes dividing the diagonal entries
 decide that exactly (Serre, A Course in Arithmetic, ch. III-IV): the search
 then stops with a proof naming the least such prime.  Otherwise it combines
-perfect-square tests over congruence diagonalizations with a bounded integer
-enumeration and reports exhaustion honestly instead of returning an
-approximate witness.  Either way the witness is returned with no zero
-matrix, the reason in anisotropic_at, and both strict-sign witnesses.
+perfect-square tests over congruence diagonalizations (of every coordinate
+order, for n <= 6 only) with a bounded integer enumeration and reports
+exhaustion honestly instead of returning an approximate witness.  Either
+way the witness is returned with no zero matrix, the reason in
+anisotropic_at, and both strict-sign witnesses.
 
 The strict-sign witnesses are read off one diagonalization S^T A S = D.
 For a nondegenerate form it also gives the inverse, S^-T = A S D^-1, so the
@@ -42,7 +43,6 @@ from .matrices import (
     Signature,
     SkewMatrix,
     SymmetricMatrix,
-    TransitionMatrix,
     _int_bareiss_det,
     _kernel_matrix,
     _random_entries,
@@ -352,20 +352,22 @@ def _direct_isotropic(a: SymmetricMatrix, columns, diag2: Sequence[Fraction], m:
 def _searched_isotropic(a: SymmetricMatrix, int_a: list[list[int]]):
     """A nonzero int vector x with x^T A x = 0, or None if not found.
 
-    The perfect square test across diagonalizations of every coordinate
-    permutation of A, then bounded integer enumeration of int_a = c A in the
+    For n <= 6 the perfect square test across diagonalizations of every
+    coordinate permutation of A (above that, their n! - 1 would take from
+    seconds to hours), then bounded integer enumeration of int_a = c A in the
     original coordinates.  Runs only after _direct_isotropic failed, so no a_ii is 0.
     """
     n = a.n
     identity = tuple(range(n))
-    for perm in itertools.permutations(range(n)):
+    for perm in itertools.permutations(identity) if n <= 6 else ():
         if perm == identity:
             continue
-        p = TransitionMatrix.permutation(perm)
-        s3, d3 = lagrange_diagonalize(congruence_sym(a, p))
+        # The unit columns of P: column k is e_perm[k], so P^T A P permutes A.
+        p = tuple([(1, tuple([int(i == j) for i in range(n)])) for j in perm])
+        columns, d3 = lagrange_diagonalize(congruence_sym(a, p))
         hit = _pair_isotropic(d3)
         if hit is not None:
-            y = _pair_vector(s3.columns, *hit)
+            y = _pair_vector(columns, *hit)
             return [y[perm.index(k)] for k in range(n)]
 
     for bound in _enumeration_bounds(n):
@@ -409,14 +411,14 @@ def witness_indefinite(a: SymmetricMatrix) -> Witness:
     has lambda_zero and anisotropic_at None.  The strict-sign witnesses are
     there in all three outcomes.
     """
-    s, d = lagrange_diagonalize(a)
+    columns, d = lagrange_diagonalize(a)
     n = a.n
     order = [i for i in range(n) if d[i] > 0] + [i for i in range(n) if d[i] < 0]
     m = sum(x > 0 for x in d)
     if not 0 < m < len(order) == n:
         sig = (m, len(order) - m, n - len(order))
         raise NotIndefinite(f"signature {sig} is not mixed nondegenerate")
-    cols = [s.columns[k] for k in order]
+    cols = [columns[k] for k in order]
     diag2 = [d[i] for i in order]
 
     # Bracket the coupling strength between the last positive and first

@@ -7,10 +7,11 @@ it at concrete skew matrices and builds weighted sum-of-squares certificates
 for positive definite A.
 
 Expansion and certificates share one algorithm.  Congruence-diagonalize
-S^T A S = diag(d) with det S = +-1 (lagrange_diagonalize returns S and the
-tuple d) and put M = S^T L S; then det(A - L) = det(diag(d) - M), the sum
-over even index subsets U of (prod of d_i outside U) times Pf(M[U])^2,
-whatever the signs of the d_i.
+S^T A S = diag(d) (lagrange_diagonalize returns the columns of S and the
+tuple d; S is built from swaps and shears, so det S = +-1) and put
+M = S^T L S; then det(A - L) = det(diag(d) - M), the sum over even index
+subsets U of (prod of d_i outside U) times Pf(M[U])^2, whatever the signs
+of the d_i.
 
 The sum runs on packed integer polynomials: a dict from packed monomial
 (polynomials module docstring) to int coefficient.  S and diag(d) are each
@@ -193,8 +194,7 @@ def expand_skewchar(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Multi
     if a.n > _int_at_least("max_dim", max_dim, 1):
         raise ExpansionTooLarge(
             f"dimension {a.n} exceeds the expansion cap {max_dim}")
-    s, d = lagrange_diagonalize(a)
-    return _square_sum(a.n, *_packed_pfaffians(s.columns, d))
+    return _square_sum(a.n, *_packed_pfaffians(*lagrange_diagonalize(a)))
 
 
 def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Certificate:
@@ -208,13 +208,13 @@ def certify_positive(a: SymmetricMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Cert
     n = a.n
     if n > _int_at_least("max_dim", max_dim, 1):
         raise ExpansionTooLarge(f"dimension {n} exceeds the certificate cap {max_dim}")
-    s, d = lagrange_diagonalize(a)
+    columns, d = lagrange_diagonalize(a)
     if any(x <= 0 for x in d):
         raise NotPositiveDefinite(
             "not positive definite: diagonalized form has non-positive entries "
             f"{tuple(map(str, d))}")
 
-    terms, scale, big = _packed_pfaffians(s.columns, d)
+    terms, scale, big = _packed_pfaffians(columns, d)
     cert = Certificate(n=n, terms=tuple(
         (Fraction(w, big ** (n - size)), MultiPoly._from_packed(n, root, scale ** size))
         for w, size, root in terms))

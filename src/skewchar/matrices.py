@@ -1,4 +1,4 @@
-"""Exact symmetric, skew-symmetric and transition matrices over the rationals.
+"""Exact symmetric and skew-symmetric matrices over the rationals.
 
 Everything here is immutable after construction and all arithmetic is exact.
 Every rational determinant, det_rational and det(A - L) in engine and
@@ -27,9 +27,10 @@ Congruence diagonalization never introduces square roots: one routine,
 _congruence_pivots, runs symmetric fraction-free elimination on c*A (c the
 lcm of the c_i) once per matrix and keeps the exact diagonal and the basis
 changes on it.  signature() reads only the signs of that diagonal;
-lagrange_diagonalize() returns it as the tuple d beside the transition
-matrix S, which it alone builds, in integers: it replays the basis changes
-on the columns of S, each kept as (q, ints).
+lagrange_diagonalize() returns it as the tuple d beside the columns of the
+transition matrix S, which it alone builds, in integers: it replays the
+basis changes on them, each column kept as (q, ints).  S is no class of
+its own: congruence_sym reads the same columns.
 
 The text readers refuse non-ASCII text, then share one prologue: strip the
 lines, drop blank ones, read the dimension.  Dimensions, indices and values
@@ -446,79 +447,15 @@ class SkewMatrix:
             (i - 1, j - 1, p, q) for (i, j), (p, q) in upper.items() if p)))
 
 
-class TransitionMatrix:
-    """An invertible exact matrix used for changes of basis.
-
-    It stores columns, column k as (q, ints): ints / q in lowest terms, q > 0,
-    row k of S^T in the kernel's form.  Every constructor keeps them
-    canonical, so == and hash read them; rows is a Fraction view of them,
-    built on each read, and no cache is kept.
-    """
-
-    __slots__ = ("n", "det", "columns")
-
-    def __init__(self, rows: Iterable[Iterable[Scalar]]) -> None:
-        columns = tuple([_kernel_row([x.as_integer_ratio() for x in c])
-                         for c in zip(*_square_rows(rows))])
-        d = _scaled_det(columns, ())  # det S^T = det S
-        if d == 0:
-            raise ValueError("transition matrix must be invertible")
-        self.n, self.det, self.columns = len(columns), d, columns
-
-    @classmethod
-    def _unimodular(cls, columns: tuple, det: int) -> "TransitionMatrix":
-        # Trusted path: reduced columns, det = +-1 known by construction.
-        s = object.__new__(cls)
-        s.n, s.det, s.columns = len(columns), Fraction(det), columns
-        return s
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fractions, built from columns on each read."""
-        return tuple(zip(*[[Fraction(x, q) for x in ints] for q, ints in self.columns]))
-
-    @classmethod
-    def identity(cls, n: int) -> "TransitionMatrix":
-        return cls.diagonal([1] * _int_at_least("dimension", n, 1))
-
-    @classmethod
-    def diagonal(cls, values: Sequence[Scalar]) -> "TransitionMatrix":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def permutation(cls, perm: Sequence[int]) -> "TransitionMatrix":
-        """Matrix P with column k carrying basis vector perm[k] (0-based).
-
-        perm must be a rearrangement of range(len(perm)), its entries ints.
-        The unit columns are built as stored and det P is the sign of perm,
-        (-1) to the number of its inversions, so no determinant is computed.
-        """
-        n = len(perm)
-        if sorted([_int_at_least("permutation entry", p, 0) for p in perm]) != list(range(n)):
-            raise ValueError(f"{list(perm)} is not a permutation of range({n})")
-        inversions = sum(perm[k] > p for j, p in enumerate(perm) for k in range(j))
-        return cls._unimodular(tuple([(1, tuple([int(i == p) for i in range(n)])) for p in perm]),
-                               (-1) ** inversions)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TransitionMatrix) and self.columns == other.columns
-
-    def __hash__(self) -> int:
-        return hash(self.columns)
-
-    def __repr__(self) -> str:
-        return f"TransitionMatrix({[list(map(str, r)) for r in self.rows]})"
-
-
 # -- congruence transforms --------------------------------------------------
 
 
-def congruence_sym(a: SymmetricMatrix, s: TransitionMatrix) -> SymmetricMatrix:
-    """The transformed matrix S^T A S of a quadratic form under basis change."""
-    if a.n != s.n:
-        raise DimensionMismatch(f"form has n={a.n}, transition has n={s.n}")
-    st = [[Fraction(x, q) for x in ints] for q, ints in s.columns]  # rows of S^T
+def congruence_sym(a: SymmetricMatrix, columns: Sequence[tuple]) -> SymmetricMatrix:
+    """S^T A S for S given by its columns (q, ints), ints / q, as lagrange_diagonalize
+    gives them.  An S that is not n x n is refused; S is not checked invertible."""
+    if len(columns) != a.n or any(len(ints) != a.n for _, ints in columns):
+        raise DimensionMismatch(f"form has n={a.n}, transition is not {a.n} x {a.n}")
+    st = [[Fraction(x, q) for x in ints] for q, ints in columns]  # rows of S^T
     return SymmetricMatrix(_matmul(_matmul(st, a.rows), list(zip(*st))))
 
 
@@ -598,8 +535,9 @@ def _congruence_pivots(a: SymmetricMatrix) -> tuple[tuple[Fraction, ...], tuple[
     return a._pivots
 
 
-def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, tuple[Fraction, ...]]:
-    """Rational congruence diagonalization: returns (S, d) with S^T A S = diag(d).
+def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[tuple[tuple[int, tuple[int, ...]], ...],
+                                                       tuple[Fraction, ...]]:
+    """Rational congruence diagonalization: (columns, d) with S^T A S = diag(d).
 
     Pivots use a nonzero diagonal entry when one exists in the trailing block
     (swapping it into place); when the trailing diagonal is all zero but some
@@ -609,10 +547,10 @@ def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, tuple[Fr
     not normalized to entries of modulus one.
 
     d is the tuple of Fractions that fraction-free integer elimination
-    (_congruence_pivots) keeps on a, returned as it is.  S replays its basis
-    changes, swaps and e_dst += f e_src with dst != src, on the identity's
-    integer columns.  So det S = (-1)^swaps by construction and is not
-    checked.
+    (_congruence_pivots) keeps on a, returned as it is.  columns holds S,
+    column k as (q, ints): ints / q in lowest terms, q > 0.  They replay the
+    basis changes, swaps and e_dst += f e_src with dst != src, on the
+    identity's integer columns, so det S = +-1 by construction.
     """
     n = a.n
     diag, ops = _congruence_pivots(a)
@@ -629,8 +567,7 @@ def lagrange_diagonalize(a: SymmetricMatrix) -> tuple[TransitionMatrix, tuple[Fr
             x = [f_d * u + f_s * v for u, v in zip(x_d, x_s)]
             g = math.gcd(q_d * f_d, *x)
             cols[dst] = (q_d * f_d // g, tuple([v // g for v in x]))
-    det = (-1) ** sum(op[0] == "swap" for op in ops)
-    return TransitionMatrix._unimodular(tuple(cols), det), diag
+    return tuple(cols), diag
 
 
 def signature(a: SymmetricMatrix) -> Signature:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from oracles import columns_of
 from skewchar import (
     SkewMatrix,
     SymmetricMatrix,
-    TransitionMatrix,
     Var,
     congruence_sym,
     det_rational,
@@ -36,15 +36,17 @@ def random_zero_diagonal(rng: random.Random, n: int, bound: int = 3) -> Symmetri
     return SymmetricMatrix(rows)
 
 
-def random_invertible(rng: random.Random, n: int, bound: int = 3) -> TransitionMatrix:
+def random_invertible(rng: random.Random, n: int, bound: int = 3) -> tuple:
+    """The columns (columns_of) of an invertible matrix of ints in -bound..bound."""
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         if det_rational(rows) != 0:
-            return TransitionMatrix(rows)
+            return columns_of(rows)
 
 
-def random_unimodular(rng: random.Random, n: int, shears: int = 2) -> TransitionMatrix:
-    """Product of unit shears and a permutation: det +-1, small inverse."""
+def random_unimodular(rng: random.Random, n: int, shears: int = 2) -> tuple:
+    """The columns (columns_of) of a product of unit shears and a permutation:
+    det +-1, small inverse."""
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(shears):
         i, j = rng.sample(range(n), 2)
@@ -54,7 +56,7 @@ def random_unimodular(rng: random.Random, n: int, shears: int = 2) -> Transition
     perm = list(range(n))
     rng.shuffle(perm)
     rows = [[rows[i][perm[k]] for k in range(n)] for i in range(n)]
-    return TransitionMatrix(rows)
+    return columns_of(rows)
 
 
 def random_positive_definite(rng: random.Random, n: int) -> SymmetricMatrix:

@@ -8,15 +8,17 @@ through first-row expansion instead of the packed subset kernel, signatures
 come from characteristic polynomial coefficients via the Faddeev-LeVerrier
 recurrence and Descartes' rule (exact for symmetric matrices, whose
 eigenvalues are all real), and the congruence diagonalization is reproduced
-by plain Fraction elimination.  The checks at the end compose library calls
-with these: a certificate replayed in Poly, both sides of the basis-change
-law with S^T L S formed here, and a verdict against its own witnesses or
-sign probe.
+by plain Fraction elimination.  columns_of and rows_of convert a matrix S
+to and from the (q, ints) columns the library reads.  The checks at the end
+compose library calls with these: a certificate replayed in Poly, both
+sides of the basis-change law with S^T L S formed here, and a verdict
+against its own witnesses or sign probe.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping
@@ -29,6 +31,7 @@ from skewchar import (
     Var,
     Verdict,
     classify,
+    det_rational,
     eval_skewchar,
     sign_probe,
 )
@@ -342,19 +345,44 @@ def replay_poly(cert) -> Poly:
     return sum((w * Poly(r.terms()) ** 2 for w, r in cert.terms), Poly())
 
 
+def columns_of(rows) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The columns of an invertible square matrix as lagrange_diagonalize returns them.
+
+    Column k is (q, ints), q the lcm of its denominators, so ints / q is in
+    lowest terms with q > 0: the form congruence_sym reads.  A singular
+    matrix is refused with ValueError, so every S a test builds is a basis
+    change.
+    """
+    if det_rational(rows) == 0:
+        raise ValueError("transition matrix must be invertible")
+    columns = []
+    for column in zip(*rows):
+        q = math.lcm(*[Fraction(x).denominator for x in column])
+        columns.append((q, tuple([int(Fraction(x) * q) for x in column])))
+    return tuple(columns)
+
+
+def rows_of(columns) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows, as Fractions, of the matrix whose columns are (q, ints)."""
+    return tuple(zip(*[[Fraction(x, q) for x in ints] for q, ints in columns]))
+
+
 def covariance_check(a, l, s) -> tuple[Fraction, Fraction]:
     """Both sides of the basis-change law: (P(S^T A S, S^T L S), det(S)^2 P(A, L)).
 
-    S^T A S and S^T L S are formed here over Fraction.  The two components
-    agree for every valid input; callers assert equality.
+    s is the columns of S, as columns_of gives them.  S^T A S and S^T L S
+    are formed here over Fraction, and det S is computed from the rows.
+    The two components agree for every valid input; callers assert equality.
     """
-    n = s.n
-    st = list(zip(*s.rows))
-    sas = _product(_product(st, a.rows), s.rows)
-    sls = _product(_product(st, skew_rows(l)), s.rows)
+    rows = rows_of(s)
+    n = len(rows)
+    st = list(zip(*rows))
+    sas = _product(_product(st, a.rows), rows)
+    sls = _product(_product(st, skew_rows(l)), rows)
     skew = SkewMatrix(n, {Var(i + 1, j + 1): sls[i][j]
                           for i in range(n) for j in range(i + 1, n)})
-    return eval_skewchar(SymmetricMatrix(sas), skew), s.det ** 2 * eval_skewchar(a, l)
+    lhs = eval_skewchar(SymmetricMatrix(sas), skew)
+    return lhs, det_rational(rows) ** 2 * eval_skewchar(a, l)
 
 
 def crosscheck_classification(a, trials: int = 200, seed: int = 0, bound: int = 10) -> bool:

@@ -1,12 +1,14 @@
 """Tests for classification, witnesses and sign probing."""
 
 import random
+import signal
 import time
 from fractions import Fraction
 
 import pytest
 
 from generators import (
+    rational,
     random_indefinite,
     random_invertible,
     random_positive_definite,
@@ -15,7 +17,7 @@ from generators import (
     random_unimodular,
     scrambled_positive_definite,
 )
-from oracles import cofactor_det, crosscheck_classification, skew_rows
+from oracles import cofactor_det, columns_of, crosscheck_classification, skew_rows
 from skewchar import (
     ClassificationReport,
     NotIndefinite,
@@ -24,7 +26,6 @@ from skewchar import (
     Signature,
     SkewMatrix,
     SymmetricMatrix,
-    TransitionMatrix,
     Var,
     Verdict,
     Witness,
@@ -501,6 +502,69 @@ def test_hard_form_scrambled():
         "5\n")
 
 
+# -- above n = 6: no n! stage ------------------------------------------------------
+
+
+def _dense_form(n):
+    """The seed-n dense rational form: each entry p/q with |p| <= 99, 1 <= q <= 9."""
+    rng = random.Random(n)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rational(rng, 99, 9)
+    return SymmetricMatrix(rows)
+
+
+def _classify_within(a, seconds):
+    """classify(a), failing the test once seconds of wall time have passed.
+
+    The alarm interrupts a search that would not end, so a hang fails the
+    test instead of holding the run.
+    """
+    def expire(signum, frame):
+        pytest.fail(f"classify at n={a.n} took over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return classify(a)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n", [7, 8, 12, 16, 30])
+def test_dense_indefinite_form_above_n6_gets_a_zero_witness_in_time(n):
+    # Above n = 6 the zero search skips the n! - 1 diagonalizations of the
+    # coordinate permutations and enumerates at once.  With them, classify
+    # took about 12 s at n = 7 and did not finish in 40 s at n = 8; without
+    # them each of these forms takes well under 0.1 s (shared 2-core x86-64
+    # machine), and its zero witness is checked exactly.
+    a = _dense_form(n)
+    report = _classify_within(a, 5)
+    assert report.verdict is Verdict.INDEFINITE
+    assert_witness_contracts(a, report.witness)
+
+
+def test_dense_indefinite_form_n7_golden():
+    # The enumeration finds the zero at bound 2; the n! stage found none on
+    # this form, so the text is the one it printed, 12 s later.
+    assert _classify_within(_dense_form(7), 5).to_text() == (
+        "verdict: Indefinite\n"
+        "signature: 4 3 0\n"
+        "predicted_sign: NotSignDefinite\n"
+        "witness lambda_zero: P = 0\n"
+        "7\n1 4 -199400/50141\n1 6 -299100/50141\n1 7 -169490/3857\n"
+        "2 4 -83140/23751\n2 6 -41570/7917\n2 7 -70669/1827\n3 4 -2020/21489\n"
+        "3 6 -1010/7163\n3 7 -1717/1653\n4 5 -214960/50141\n4 6 -172475/69426\n"
+        "4 7 -8518219/601692\n5 6 322440/50141\n5 7 182716/3857\n"
+        "6 7 5610041/902538\n"
+        "witness lambda_plus: P = 4696297702474088869969/8499654777600\n"
+        "7\n1 7 -33\n2 7 198/17\n3 7 -891/17\n4 7 -2475/34\n5 7 4950/17\n"
+        "6 7 1485/34\n"
+        "witness lambda_minus: P = -17138728261790828685427/499979692800\n"
+        "7\n")
+
+
 def _primes_up_to(k):
     return [p for p in range(2, k + 1) if all(p % q for q in range(2, p))]
 
@@ -554,9 +618,9 @@ def test_permuted_diagonal_form_needs_no_new_diagonalization(seed):
     diag = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
             for _ in range(n)]
     perm = rng.sample(range(n), n)
-    s, d = lagrange_diagonalize(
-        congruence_sym(SymmetricMatrix.diagonal(diag), TransitionMatrix.permutation(perm)))
-    assert s == TransitionMatrix.identity(n)
+    p = tuple([(1, tuple([int(i == j) for i in range(n)])) for j in perm])
+    s, d = lagrange_diagonalize(congruence_sym(SymmetricMatrix.diagonal(diag), p))
+    assert s == columns_of(SymmetricMatrix.identity(n).rows)
     assert d == tuple([diag[p] for p in perm])
 
 # -- probing ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from generators import (
 from oracles import (
     Poly,
     cofactor_det,
+    columns_of,
     covariance_check,
     golden_identity_poly,
     lam,
@@ -38,7 +39,6 @@ from skewchar import (
     NotPositiveDefinite,
     SkewMatrix,
     SymmetricMatrix,
-    TransitionMatrix,
     Var,
     certify_positive,
     eval_skewchar,
@@ -125,8 +125,7 @@ def test_packed_roots_are_multilinear(n):
     # Every root is a signed sum of perfect matchings, so each 2-bit exponent
     # field of the kernel holds at most 1 and a square at most 2: no carry.
     a = random_symmetric(random.Random(800 + n), n)
-    s, d = lagrange_diagonalize(a)
-    terms, _, _ = _packed_pfaffians(s.columns, d)
+    terms, _, _ = _packed_pfaffians(*lagrange_diagonalize(a))
     assert len(terms) == 2 ** (n - 1)
     for _, size, root in terms:
         assert root
@@ -146,7 +145,7 @@ def test_packed_weights_are_ints_over_a_power_of_the_diagonal_scale(n):
         forms += [random_singular(rng, n), random_indefinite(rng, n)]
     for a in forms:
         s, d = lagrange_diagonalize(a)
-        terms, scale, big = _packed_pfaffians(s.columns, d)
+        terms, scale, big = _packed_pfaffians(s, d)
         if a is large:
             assert big > 9966 and (n == 1 or scale > 9966)
         expected = []
@@ -309,14 +308,14 @@ def test_covariance_identity_transition():
     rng = random.Random(71)
     a = random_symmetric(rng, 3)
     l = random_skew(3, 4)
-    lhs, rhs = covariance_check(a, l, TransitionMatrix.identity(3))
+    lhs, rhs = covariance_check(a, l, columns_of(SymmetricMatrix.identity(3).rows))
     assert lhs == rhs == eval_skewchar(a, l)
 
 
 def test_covariance_determinant_scaling():
     rng = random.Random(72)
     a = random_symmetric(rng, 3)
-    s = TransitionMatrix.diagonal([2, 1, 1])
+    s = columns_of(SymmetricMatrix.diagonal([2, 1, 1]).rows)
     lhs, rhs = covariance_check(a, SkewMatrix.zero(3), s)
     assert lhs == rhs == 4 * a.det()
 

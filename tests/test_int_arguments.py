@@ -9,7 +9,6 @@ import pytest
 from skewchar import (
     SkewMatrix,
     SymmetricMatrix,
-    TransitionMatrix,
     certify_positive,
     expand_skewchar,
     random_skew,
@@ -31,9 +30,6 @@ _SITES = [
     ("certify_positive", lambda x: certify_positive(_I2, max_dim=x), "max_dim", 1),
     ("SymmetricMatrix.identity", lambda x: SymmetricMatrix.identity(x), "dimension", 1),
     ("SymmetricMatrix.zero", lambda x: SymmetricMatrix.zero(x), "dimension", 1),
-    ("TransitionMatrix.identity", lambda x: TransitionMatrix.identity(x), "dimension", 1),
-    ("TransitionMatrix.permutation", lambda x: TransitionMatrix.permutation([x]),
-     "permutation entry", 0),
 ]
 
 

@@ -19,14 +19,14 @@ from generators import (
     random_zero_diagonal,
     scrambled_positive_definite,
 )
-from oracles import _product, cofactor_det, lagrange_reference, signature_by_charpoly
+from oracles import (_product, cofactor_det, columns_of, lagrange_reference, rows_of,
+                     signature_by_charpoly)
 from skewchar import (
     DimensionMismatch,
     MatrixParseError,
     Signature,
     SkewMatrix,
     SymmetricMatrix,
-    TransitionMatrix,
     Var,
     Verdict,
     classify,
@@ -69,45 +69,33 @@ def test_symmetric_constructor_rejects_asymmetry():
         SymmetricMatrix([[1, 2], [3, 4]])
 
 
-def test_transition_rejects_singular():
-    with pytest.raises(ValueError):
-        TransitionMatrix([[1, 2], [2, 4]])
-
-
 def test_transition_stores_reduced_columns():
-    s = TransitionMatrix([[1, Fraction(1, 2)], [0, Fraction(-2, 3)]])
-    assert s.columns == ((1, (1, 0)), (6, (3, -4)))
-    assert s.det == Fraction(-2, 3)
-    assert s.rows == ((1, Fraction(1, 2)), (0, Fraction(-2, 3)))
-
-
-@pytest.mark.parametrize("perm, error, message", [
-    ([-1, 0], ValueError, "permutation entry must be at least 0"),
-    ([0, 5], ValueError, "[0, 5] is not a permutation of range(2)"),
-    ([1, 1, 0], ValueError, "[1, 1, 0] is not a permutation of range(3)"),
-    ([0.0, 1], TypeError, "permutation entry must be an int, got float"),
-    ([True, 0], TypeError, "permutation entry must be an int, got bool"),
-], ids=["negative", "out_of_range", "repeated", "float", "bool"])
-def test_permutation_refuses_what_is_not_a_rearrangement_of_range_n(perm, error, message):
-    # [-1, 0] wrapped to the matrix of [1, 0], and [True, 0] built it too;
-    # [0, 5] and [0.0, 1] failed with a bare IndexError and TypeError.
-    with pytest.raises(error) as info:
-        TransitionMatrix.permutation(perm)
-    assert str(info.value) == message
-    assert TransitionMatrix.permutation((2, 0, 1)).columns == (
-        (1, (0, 0, 1)), (1, (1, 0, 0)), (1, (0, 1, 0)))
+    # Each column of S is kept as (q, ints) in lowest terms.  The column of
+    # e_2 += (1/2) e_1 is (1/2, 1, 0), kept as (2, (1, 2, 0)); the shear
+    # e_3 += (-2/3) e_2 replays in ints as (-2, -4, 6) / 6, and the gcd
+    # step takes out the 2.
+    a = SymmetricMatrix([[2, -1, 0], [-1, 2, 1], [0, 1, 2]])
+    columns, d = lagrange_diagonalize(a)
+    assert d == (2, Fraction(3, 2), Fraction(4, 3))
+    assert columns == ((1, (1, 0, 0)), (2, (1, 2, 0)), (3, (-1, -2, 3)))
+    assert columns == columns_of(rows_of(columns))
 
 
 @pytest.mark.parametrize("perm", list(itertools.permutations(range(4))),
                          ids=lambda perm: "".join(map(str, perm)))
 def test_permutation_is_the_matrix_its_rows_build(perm):
-    # permutation builds its unit columns as stored and reads det off the
-    # sign of perm: the same matrix, det included, as the validating
-    # constructor builds from the 0/1 rows.
-    rows = [[int(perm[k] == i) for k in range(4)] for i in range(4)]
-    p, built = TransitionMatrix.permutation(perm), TransitionMatrix(rows)
-    assert (p.columns, p.rows, p.det) == (built.columns, built.rows, built.det)
-    assert p.det == det_rational(rows)
+    # The n! stage of the zero search builds the unit columns of each
+    # permutation P as stored, column k being e_perm[k]: the canonical
+    # columns of the 0/1 rows, with det P = +-1, and P^T A P permutes A.
+    n = len(perm)
+    rows = [[int(perm[k] == i) for k in range(n)] for i in range(n)]
+    p = tuple([(1, tuple([int(i == j) for i in range(n)])) for j in perm])
+    assert p == columns_of(rows) and rows_of(p) == tuple(map(tuple, rows))
+    inversions = sum(perm[k] > x for j, x in enumerate(perm) for k in range(j))
+    assert det_rational(rows) == (-1) ** inversions
+    a = random_symmetric(random.Random(4040), n)
+    assert congruence_sym(a, p).rows == tuple(
+        tuple(a.rows[perm[i]][perm[j]] for j in range(n)) for i in range(n))
 
 
 def test_skew_constructor_refuses_a_repeated_variable():
@@ -168,7 +156,7 @@ def test_entry_refuses_an_index_outside_range_n(matrix, i, j, error, message):
     assert str(info.value) == message
 
 
-_ROW_ENTRY_POINTS = [SymmetricMatrix, TransitionMatrix, det_rational]
+_ROW_ENTRY_POINTS = [SymmetricMatrix, det_rational]
 
 
 @pytest.mark.parametrize("make", _ROW_ENTRY_POINTS)
@@ -212,28 +200,47 @@ def test_entry_points_refuse_ragged_or_empty_rows(make, rows):
         make(rows)
 
 
+_I2_COLUMNS = ((1, (1, 0)), (1, (0, 1)))
+
+
 def test_congruence_sym_examples():
     a = SymmetricMatrix.identity(2)
-    s = TransitionMatrix([[1, 1], [0, 1]])
+    s = columns_of([[1, 1], [0, 1]])
     assert congruence_sym(a, s) == SymmetricMatrix([[1, 1], [1, 2]])
 
     b = SymmetricMatrix([[2, -1], [-1, 5]])
-    assert congruence_sym(b, TransitionMatrix.identity(2)) == b
+    assert congruence_sym(b, _I2_COLUMNS) == b
 
-    swap = TransitionMatrix([[0, 1], [1, 0]])
+    swap = columns_of([[0, 1], [1, 0]])
     assert congruence_sym(SymmetricMatrix.diagonal([1, -1]), swap) == (
         SymmetricMatrix.diagonal([-1, 1])
     )
+    # A column need not be reduced: 2/2 reads as 1.
+    assert congruence_sym(b, ((2, (2, 0)), (1, (0, 1)))) == b
 
 
 def test_congruence_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        congruence_sym(SymmetricMatrix.identity(2), TransitionMatrix.identity(3))
+        congruence_sym(SymmetricMatrix.identity(2), columns_of(SymmetricMatrix.identity(3).rows))
+
+
+@pytest.mark.parametrize("columns", [
+    ((1, (1, 0)),),
+    ((1, (1, 0)), (1, (0, 1)), (1, (0, 0))),
+    ((1, (1,)), (1, (0, 1))),
+    ((1, (1, 0)), (1, (0, 1, 0))),
+], ids=["one_column", "three_columns", "short_column", "long_column"])
+def test_congruence_refuses_a_transition_that_is_not_n_by_n(columns):
+    # Unchecked, a wrong column count gives a matrix of the wrong size, a
+    # long column is cut short by the products and a short one indexes past
+    # its end.
+    with pytest.raises(DimensionMismatch, match="^form has n=2, transition is not 2 x 2$"):
+        congruence_sym(SymmetricMatrix([[1, 2], [2, 3]]), columns)
 
 
 def test_lagrange_already_diagonal():
     s, d = lagrange_diagonalize(SymmetricMatrix.diagonal([2, -3]))
-    assert s == TransitionMatrix.identity(2)
+    assert s == _I2_COLUMNS
     assert d == (2, -3)
 
 
@@ -255,11 +262,16 @@ def test_lagrange_rank_one():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lagrange_postcondition_random(n):
+    # Zero diagonals take fold pivots; singular forms and the zero form end
+    # in a zero trailing block.  congruence_sym reads the columns as returned.
     rng = random.Random(100 + n)
-    for _ in range(10):
-        a = random_symmetric(rng, n)
+    forms = [random_symmetric(rng, n) for _ in range(10)] + [SymmetricMatrix.zero(n)]
+    for _ in range(5):
+        forms += [random_zero_diagonal(rng, n), random_singular(rng, n)]
+    for a in forms:
         s, d = lagrange_diagonalize(a)
         assert congruence_sym(a, s) == SymmetricMatrix.diagonal(d)
+    assert any(("add", 0, 1, 1, 1) in _congruence_pivots(a)[1] for a in forms)
 
 
 def _assert_matches_reference(a):
@@ -267,9 +279,9 @@ def _assert_matches_reference(a):
     s, d = lagrange_diagonalize(a)
     ref_s, ref_d = lagrange_reference(a)
     assert type(d) is tuple and all(type(x) is Fraction for x in d)
-    assert (s.rows, SymmetricMatrix.diagonal(d).rows) == (ref_s, ref_d)
-    assert s.det == det_rational(s.rows)
-    for k, (q, ints) in enumerate(s.columns):
+    assert (rows_of(s), SymmetricMatrix.diagonal(d).rows) == (ref_s, ref_d)
+    assert det_rational(rows_of(s)) in (1, -1)
+    for k, (q, ints) in enumerate(s):
         assert q > 0 and math.gcd(q, *ints) == 1
         assert tuple(Fraction(x, q) for x in ints) == tuple(row[k] for row in ref_s)
 
@@ -319,7 +331,7 @@ def test_lagrange_integer_basis_per_elimination_feature(rows, feature):
     _assert_matches_reference(a)
     if feature == ("add", 1, 0, 1, 2):
         s, _ = lagrange_diagonalize(a)
-        assert s.columns[1] == (2, (1, 2, 0))
+        assert s[1] == (2, (1, 2, 0))
 
 
 def test_lagrange_fold_then_swap():
@@ -331,8 +343,8 @@ def test_lagrange_fold_then_swap():
     _assert_matches_reference(a)
     s, d = lagrange_diagonalize(a)
     assert d == (2, Fraction(-1, 2), 0)
-    st = [list(col) for col in zip(*s.rows)]
-    assert _product(_product(st, a.rows), s.rows) == [
+    st = [list(col) for col in zip(*rows_of(s))]
+    assert _product(_product(st, a.rows), rows_of(s)) == [
         [2, 0, 0], [0, Fraction(-1, 2), 0], [0, 0, 0]]
     assert signature(a) == (1, 1, 1)
     assert classify(a).verdict is Verdict.DEGENERATE
@@ -340,30 +352,22 @@ def test_lagrange_fold_then_swap():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_transition_equality_reads_columns(monkeypatch, n):
-    # Both constructors store canonical columns, so == and hash read them and
-    # build no Fraction view, and they agree with == on the rows.
+    # The columns are canonical, so equal forms give equal columns, built
+    # with no Fraction view of A, and two tuples of columns are equal
+    # exactly when their matrices are.
     built = []
     for a in _reference_forms(n):
         b = SymmetricMatrix(a.rows)  # no shared _pivots
         with monkeypatch.context() as m:
-            _rows_unread(m, TransitionMatrix)
+            _rows_unread(m, SymmetricMatrix)
             s, _ = lagrange_diagonalize(a)
             t, _ = lagrange_diagonalize(b)
-            assert s == t and hash(s) == hash(t)
-        u = TransitionMatrix(s.rows)
-        assert u == s and hash(u) == hash(s) and u.columns == s.columns
+        assert s == t
+        assert columns_of(rows_of(s)) == s
         built.append(s)
-    # A column 2/4, 6/4 is stored as (2, (1, 3)); the column 1, 3 has the
-    # same ints over q = 1 and is a different matrix.
-    half = TransitionMatrix([[Fraction(2, 4), 0], [Fraction(6, 4), 1]])
-    assert half.columns[0] == (2, (1, 3))
-    built += [half, TransitionMatrix([[Fraction(1, 2), 0], [Fraction(3, 2), 1]]),
-              TransitionMatrix([[1, 0], [3, 1]])]
     for s in built:
         for t in built:
-            assert (s == t) == (s.rows == t.rows)
-            if s == t:
-                assert hash(s) == hash(t)
+            assert (s == t) == (rows_of(s) == rows_of(t))
 
 
 def test_lagrange_diagonalize_n30_is_fast():
@@ -372,7 +376,7 @@ def test_lagrange_diagonalize_n30_is_fast():
     start = time.perf_counter()
     s, d = lagrange_diagonalize(a)
     elapsed = time.perf_counter() - start
-    assert s.det in (1, -1)
+    assert det_rational(rows_of(s)) in (1, -1)
     assert all(x > 0 for x in d)
     assert elapsed < 0.5, f"lagrange_diagonalize at n=30 took {elapsed:.2f}s"
 
@@ -411,7 +415,7 @@ def test_det_congruence_scaling(n):
     for _ in range(8):
         a = random_symmetric(rng, n)
         s = random_invertible(rng, n)
-        assert congruence_sym(a, s).det() == s.det ** 2 * a.det()
+        assert congruence_sym(a, s).det() == det_rational(rows_of(s)) ** 2 * a.det()
 
 
 def test_random_skew_determinism():
