@@ -8,11 +8,10 @@ matrix classes store its input.  SymmetricMatrix.int_rows holds row a_i as
 SkewMatrix.entries holds each nonzero l_ij = p/q, i < j, as (i, j, p, q),
 0-based, p/q reduced, sorted.  Both are canonical, so == and hash read them.
 Each class stores that one form: the Fraction views rows and upper are built
-from it on each read and not kept, and entry reads the stored ints.  The one
-cache is SymmetricMatrix._pivots, a computed result (_congruence_pivots), not
-a copy of the matrix.  A constructor converts each value once; -L,
-random_skew and the skew reader build entries directly and skip the
-validating constructor.  The kernel has two stages.
+from it on each read and not kept.  The one cache is SymmetricMatrix._pivots,
+a computed result (_congruence_pivots), not a copy of the matrix.  A
+constructor converts each value once; random_skew and the skew reader
+build entries directly.  The kernel has two stages.
 _kernel_matrix folds L into the stored rows: one pass over L collects each
 row's denominators, row i is scaled to c = lcm(c_i, q of each entry in
 row i), and each entry of L is subtracted or added into its two slots.
@@ -46,12 +45,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .polynomials import (Scalar, Var, _as_fraction, _check_ascii, _int_at_least,
                           _parse_digits, _parse_rational, _shown)
-
-_ZERO = Fraction(0)
 
 
 class DimensionMismatch(ValueError):
@@ -69,13 +66,6 @@ def _square_rows(rows: Iterable[Iterable[Scalar]]) -> tuple[tuple[Fraction, ...]
     if n == 0 or any(len(row) != n for row in frows):
         raise ValueError("matrix must be square and nonempty")
     return frows
-
-
-def _check_index(n: int, i: int, j: int) -> None:
-    if type(i) is not int or type(j) is not int:
-        raise TypeError(f"entry indices must be ints, got ({i!r}, {j!r})")
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"entry ({i}, {j}) is outside a matrix of dimension {n}")
 
 
 def _matmul(a, b):
@@ -255,9 +245,9 @@ class SymmetricMatrix:
     """An exact symmetric matrix; symmetry is enforced at construction.
 
     It stores int_rows (module docstring); rows is a Fraction view of them,
-    built on each read, and entry reads them.  _pivots, the one cache, keeps
-    the result of _congruence_pivots, not a copy of the matrix, so classify
-    eliminates once for both the signature and S.
+    built on each read.  _pivots, the one cache, keeps the result of
+    _congruence_pivots, not a copy of the matrix, so classify eliminates
+    once for both the signature and S.
     """
 
     __slots__ = ("n", "int_rows", "_pivots")
@@ -287,29 +277,9 @@ class SymmetricMatrix:
         return cls.diagonal([1] * _int_at_least("dimension", n, 1))
 
     @classmethod
-    def zero(cls, n: int) -> "SymmetricMatrix":
-        return cls.diagonal([0] * _int_at_least("dimension", n, 1))
-
-    @classmethod
     def diagonal(cls, values: Sequence[Scalar]) -> "SymmetricMatrix":
         n = len(values)
         return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """0-based entry; an index that is not an int in range(n) is refused."""
-        _check_index(self.n, i, j)
-        c, ints = self.int_rows[i]
-        return Fraction(ints[j], c)
-
-    def det(self) -> Fraction:
-        return _scaled_det(self.int_rows, ())
-
-    def __neg__(self) -> "SymmetricMatrix":
-        # Each c_i stays the lcm of its row's denominators: canonical as it is.
-        neg = object.__new__(SymmetricMatrix)
-        neg.n, neg._pivots = self.n, None
-        neg.int_rows = tuple([(c, tuple([-x for x in ints])) for c, ints in self.int_rows])
-        return neg
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymmetricMatrix) and self.int_rows == other.int_rows
@@ -352,14 +322,15 @@ class SkewMatrix:
     """An exact skew-symmetric matrix stored by its strict upper triangle.
 
     It stores entries (module docstring) and keeps no cache; upper is a
-    Fraction view of them, built on each read, and entry reads them.
+    Fraction view of them, built on each read.  upper may be a Mapping from
+    Var to value or an iterable of (Var, value) pairs.
     """
 
     __slots__ = ("n", "entries")
 
-    def __init__(self, n: int, upper: dict | Iterable = ()) -> None:
+    def __init__(self, n: int, upper: Mapping | Iterable = ()) -> None:
         _int_at_least("dimension", n, 1)
-        items = upper.items() if isinstance(upper, dict) else upper
+        items = upper.items() if isinstance(upper, Mapping) else upper
         pairs: dict[Var, tuple[int, int]] = {}
         for var, value in items:
             if not isinstance(var, Var):
@@ -388,19 +359,6 @@ class SkewMatrix:
     @classmethod
     def zero(cls, n: int) -> "SkewMatrix":
         return cls(n)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """0-based signed entry: upper values positive, mirrored ones negated.
-
-        An index that is not an int in range(n) is refused.
-        """
-        _check_index(self.n, i, j)
-        key, sign = ((i, j), 1) if i <= j else ((j, i), -1)
-        return next((Fraction(sign * p, q) for u, v, p, q in self.entries if (u, v) == key),
-                    _ZERO)
-
-    def __neg__(self) -> "SkewMatrix":
-        return SkewMatrix._trusted(self.n, tuple([(i, j, -p, q) for i, j, p, q in self.entries]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewMatrix) and (self.n, self.entries) == (other.n, other.entries)

@@ -9,7 +9,9 @@ come from characteristic polynomial coefficients via the Faddeev-LeVerrier
 recurrence and Descartes' rule (exact for symmetric matrices, whose
 eigenvalues are all real), and the congruence diagonalization is reproduced
 by plain Fraction elimination.  columns_of and rows_of convert a matrix S
-to and from the (q, ints) columns the library reads.  The checks at the end
+to and from the (q, ints) columns the library reads; skew_rows gives the
+full rows of L, and negated_form and negated_skew build -A and -L, each
+through the public constructor.  The checks at the end
 compose library calls with these: a certificate replayed in Poly, both
 sides of the basis-change law with S^T L S formed here, and a verdict
 against its own witnesses or sign probe.
@@ -221,10 +223,10 @@ def symbolic_difference(a):
     """Rows of A - L as Poly entries: a_ij - l_ij above the diagonal,
     a_ij + l_ji below it, a_ii on it."""
     rows = []
-    for i in range(a.n):
+    for i, a_i in enumerate(a.rows):
         row = []
         for j in range(a.n):
-            entry = Poly({(): a.entry(i, j)})
+            entry = Poly({(): a_i[j]})
             if i < j:
                 entry = entry - lam(i + 1, j + 1)
             elif i > j:
@@ -332,8 +334,21 @@ def lagrange_reference(a) -> tuple[tuple, tuple]:
 
 
 def skew_rows(l: SkewMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """The full rows of a skew matrix, read entry by entry."""
-    return tuple(tuple(l.entry(i, j) for j in range(l.n)) for i in range(l.n))
+    """The full rows of a skew matrix, built from its stored entries."""
+    rows = [[Fraction(0)] * l.n for _ in range(l.n)]
+    for i, j, p, q in l.entries:
+        rows[i][j], rows[j][i] = Fraction(p, q), Fraction(-p, q)
+    return tuple(map(tuple, rows))
+
+
+def negated_form(a: SymmetricMatrix) -> SymmetricMatrix:
+    """-A, built through the validating constructor."""
+    return SymmetricMatrix([[-x for x in row] for row in a.rows])
+
+
+def negated_skew(l: SkewMatrix) -> SkewMatrix:
+    """-L, built through the validating constructor."""
+    return SkewMatrix(l.n, {v: -c for v, c in l.upper.items()})
 
 
 def _product(x, y):

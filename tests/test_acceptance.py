@@ -21,6 +21,8 @@ from oracles import (
     cofactor_det,
     covariance_check,
     golden_identity_poly,
+    negated_form,
+    negated_skew,
     replay_poly,
     skew_rows,
     symbolic_difference,
@@ -109,7 +111,8 @@ def test_criterion_5_parity_law():
             n = 2 + k % 4
             a = random_symmetric(rng, n)
             l = random_skew_assignment(rng, n)
-            assert eval_skewchar(-a, -l) == (-1) ** n * eval_skewchar(a, l)
+            assert (eval_skewchar(negated_form(a), negated_skew(l))
+                    == (-1) ** n * eval_skewchar(a, l))
 
 
 def test_criterion_6_witness_validity():

@@ -17,7 +17,8 @@ from generators import (
     random_unimodular,
     scrambled_positive_definite,
 )
-from oracles import cofactor_det, columns_of, crosscheck_classification, skew_rows
+from oracles import (cofactor_det, columns_of, crosscheck_classification, negated_form,
+                     skew_rows)
 from skewchar import (
     ClassificationReport,
     NotIndefinite,
@@ -70,13 +71,13 @@ def test_classify_positive_definite_n30_is_fast():
 
 
 def test_classify_negative_definite_even_dimension():
-    report = classify(-SymmetricMatrix.identity(2))
+    report = classify(SymmetricMatrix.diagonal([-1, -1]))
     assert report.verdict is Verdict.NEGATIVE_DEFINITE
     assert report.predicted_sign is PredictedSign.ALWAYS_POSITIVE
 
 
 def test_classify_negative_definite_odd_dimension():
-    report = classify(-SymmetricMatrix.identity(3))
+    report = classify(SymmetricMatrix.diagonal([-1, -1, -1]))
     assert report.verdict is Verdict.NEGATIVE_DEFINITE
     assert report.predicted_sign is PredictedSign.ALWAYS_NEGATIVE
 
@@ -149,7 +150,7 @@ def test_classify_invariant_under_congruence(n):
         random_positive_definite(rng, n),
         random_indefinite(rng, n),
         random_singular(rng, n),
-        -random_positive_definite(rng, n),
+        negated_form(random_positive_definite(rng, n)),
     ]
     for a in pools:
         verdict = classify(a).verdict
@@ -246,14 +247,14 @@ def test_witness_rejects_definite_and_degenerate():
     with pytest.raises(NotIndefinite):
         witness_indefinite(SymmetricMatrix.identity(3))
     with pytest.raises(NotIndefinite):
-        witness_indefinite(-SymmetricMatrix.identity(2))
+        witness_indefinite(SymmetricMatrix.diagonal([-1, -1]))
     with pytest.raises(NotIndefinite):
         witness_indefinite(SymmetricMatrix([[1, 2], [2, 4]]))
 
 
 @pytest.mark.parametrize("a, sig", [
     (SymmetricMatrix.identity(3), "(3, 0, 0)"),
-    (-SymmetricMatrix.identity(2), "(0, 2, 0)"),
+    (SymmetricMatrix.diagonal([-1, -1]), "(0, 2, 0)"),
     (SymmetricMatrix.diagonal([1, 0, -1]), "(1, 1, 1)"),
 ])
 def test_witness_rejection_message(a, sig):
@@ -632,7 +633,7 @@ def test_sign_probe_positive_definite():
 
 
 def test_sign_probe_negative_definite_odd():
-    report = sign_probe(-SymmetricMatrix.identity(3), trials=200, seed=5)
+    report = sign_probe(SymmetricMatrix.diagonal([-1, -1, -1]), trials=200, seed=5)
     assert (report.positives, report.negatives, report.zeros) == (0, 200, 0)
 
 
@@ -761,8 +762,8 @@ def test_sign_probe_matches_cofactor_oracle(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_negative_definite_parity_confirmed_by_probe(n):
-    report = classify(-SymmetricMatrix.identity(n))
-    probe = sign_probe(-SymmetricMatrix.identity(n), trials=60, seed=3)
+    report = classify(SymmetricMatrix.diagonal([-1] * n))
+    probe = sign_probe(SymmetricMatrix.diagonal([-1] * n), trials=60, seed=3)
     if report.predicted_sign is PredictedSign.ALWAYS_POSITIVE:
         assert (probe.positives, probe.zeros) == (60, 0)
     else:
@@ -791,7 +792,7 @@ def test_crosscheck_indefinite_via_witness():
 
 
 def test_crosscheck_degenerate_zero_matrix():
-    assert crosscheck_classification(SymmetricMatrix.zero(2), trials=10, seed=2)
+    assert crosscheck_classification(SymmetricMatrix.diagonal([0, 0]), trials=10, seed=2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

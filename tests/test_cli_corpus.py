@@ -40,6 +40,7 @@ from generators import (
     scrambled_positive_definite,
     sparse_skew,
 )
+from oracles import negated_form
 from skewchar.cli import main
 
 DIGESTS = Path(__file__).with_name("cli_corpus.json")
@@ -111,7 +112,7 @@ def _calls():
             forms.append((f"definite n={n} #{k}",
                           random_positive_definite(rng, n).to_text()))
             forms.append((f"negative definite n={n} #{k}",
-                          (-random_positive_definite(rng, n)).to_text()))
+                          negated_form(random_positive_definite(rng, n)).to_text()))
     forms += [(f"anisotropic #{k}", text) for k, text in enumerate(_ANISOTROPIC)]
     forms.append(("hard scrambled n=5", _HARD_SCRAMBLED_N5))
     forms.append(("spelled", _SPELLED))

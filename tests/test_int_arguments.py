@@ -29,7 +29,6 @@ _SITES = [
     ("expand_skewchar", lambda x: expand_skewchar(_I2, max_dim=x), "max_dim", 1),
     ("certify_positive", lambda x: certify_positive(_I2, max_dim=x), "max_dim", 1),
     ("SymmetricMatrix.identity", lambda x: SymmetricMatrix.identity(x), "dimension", 1),
-    ("SymmetricMatrix.zero", lambda x: SymmetricMatrix.zero(x), "dimension", 1),
 ]
 
 
